@@ -40,6 +40,14 @@ The pool is elastic: :meth:`WorkerPool.resize` grows it immediately and
 shrinks it by stopping idle workers (in-flight tasks always finish) --
 the autoscaler (:mod:`repro.serve.autoscale`) drives this from queue
 depth.
+
+Dispatch is event-driven.  One manager thread owns the worker table and
+blocks on the result queue; a worker's message, a submission, a resize
+and shutdown all land on that queue (the last three as a coalesced
+``"wake"`` message), so a task reaches an idle worker as soon as it is
+queued.  The manager's timed wait, :data:`HOUSEKEEPING_TICK_S`, only
+paces housekeeping: liveness checks, the spawn and deadline watchdogs,
+and shedding of expired queued tasks.
 """
 
 from __future__ import annotations
@@ -58,6 +66,14 @@ from repro.obs.trace import TraceContext, Tracer
 
 from .deadline import Deadline, DeadlineExceeded, WorkerTimeout
 from .stats import MetricsRegistry
+
+
+#: Longest the pool manager (and the scheduler's dispatcher) waits
+#: without an event.  Events end either wait immediately; the tick bounds
+#: how late a dead worker, a wedged spawn or an overrun deadline is
+#: noticed, so ``watchdog_grace_s`` and deadlines of a fraction of a
+#: second rely on it staying small.
+HOUSEKEEPING_TICK_S = 0.02
 
 
 class PoolClosed(RuntimeError):
@@ -273,6 +289,9 @@ class PoolFuture:
 # ---------------------------------------------------------------------------
 
 _STOP = None  # input-queue sentinel
+#: result-queue nudge from the parent: carries nothing, only ends the
+#: manager's wait so it dispatches (or resizes, or finishes) now
+_WAKE = ("wake", None, None, None, 0.0, None)
 
 
 def _run_traced(name: str, arg: Any, wid: int, backend: str, spans_out: list):
@@ -523,7 +542,6 @@ class WorkerPool:
         warmup: bool = True,
         max_task_retries: int = 1,
         stats: Optional[MetricsRegistry] = None,
-        poll_s: float = 0.02,
         max_respawns: Optional[int] = None,
         watchdog_grace_s: float = 0.05,
         spawn_timeout_s: float = 15.0,
@@ -539,7 +557,6 @@ class WorkerPool:
         self.stats = stats if stats is not None else MetricsRegistry()
         self._warmup = warmup
         self._max_task_retries = max_task_retries
-        self._poll_s = poll_s
         self._watchdog_grace_s = watchdog_grace_s
         self._spawn_timeout_s = spawn_timeout_s
         from .shm import DEFAULT_MIN_BYTES, make_transport
@@ -555,6 +572,9 @@ class WorkerPool:
         self._ready_cv = threading.Condition(self._lock)
         self._pending: "deque[_Task]" = deque()
         self._closing = False
+        # a _WAKE sits unread in the result queue (or the manager has
+        # exited and nothing reads it any more); guarded by _lock
+        self._wake_queued = False
         self._drain = True  # finish pending work on shutdown?
         self._broken = False
         self._task_ids = itertools.count()
@@ -610,6 +630,7 @@ class WorkerPool:
             )
             self.stats.counter("pool.tasks").inc()
             self.stats.gauge("pool.queue_depth").set(len(self._pending))
+            self._wake()
         return future
 
     def map(self, name: str, args: List[Any]) -> List[Any]:
@@ -666,6 +687,7 @@ class WorkerPool:
                 return False
             self._target_workers = nworkers
             self.nworkers = nworkers
+            self._wake()
         self.stats.gauge("pool.target_workers").set(nworkers)
         return True
 
@@ -679,6 +701,7 @@ class WorkerPool:
             if not wait:
                 cancelled, self._pending = list(self._pending), deque()
                 self.stats.gauge("pool.queue_depth").set(0)
+            self._wake()
         if not wait:
             for task in cancelled:
                 task.future.cancel()
@@ -699,6 +722,15 @@ class WorkerPool:
 
     # -- internals ----------------------------------------------------------
 
+    def _wake(self) -> None:
+        """End the manager's wait (caller holds ``_lock``).  At most one
+        wake is queued at a time: the manager re-arms the flag when it
+        reads the wake, before it next looks at ``_pending``, so a
+        coalesced submission is never missed."""
+        if not self._wake_queued:
+            self._wake_queued = True
+            self._outq.put(_WAKE)
+
     def _spawn_worker(self) -> None:
         wid = next(self._wids)
         inq = self.backend.make_queue()
@@ -710,7 +742,7 @@ class WorkerPool:
     def _manage(self) -> None:
         while True:
             try:
-                msg = self._outq.get(timeout=self._poll_s)
+                msg = self._outq.get(timeout=HOUSEKEEPING_TICK_S)
             except queue.Empty:
                 msg = None
             except (EOFError, OSError):  # pragma: no cover - queue torn down
@@ -757,6 +789,10 @@ class WorkerPool:
 
     def _handle_message(self, msg) -> None:
         kind, wid, task_id, payload, dur, spans = msg
+        if kind == "wake":
+            with self._lock:
+                self._wake_queued = False
+            return
         worker = self._workers.get(wid)
         if kind == "ready":
             if worker is not None:
@@ -1050,8 +1086,9 @@ class WorkerPool:
                 return False
             if self._drain and self._pending and not self._broken:
                 return False
-        if any(w.inflight is not None for w in self._workers.values()):
-            return False
+            if any(w.inflight is not None for w in self._workers.values()):
+                return False
+            self._wake_queued = True  # the manager exits: never wake again
         for w in self._workers.values():
             if not w.stopping:
                 w.stopping = True

@@ -13,10 +13,11 @@ The pool executes whatever it is given; the scheduler decides *what* and
   checkpoint sweep), and the scheduler only keeps ``max_inflight`` tasks
   inside the pool, so a late-arriving interactive request overtakes queued
   bulk work instead of sitting behind it.
-* **micro-batching** -- small same-kind requests are coalesced into one
+* **micro-batching** -- when a pool slot frees, the small same-kind
+  requests already queued behind the head of a lane ride along in one
   worker dispatch (one queue round-trip, one task setup, amortized over
-  the batch), flushed when the batch fills or the oldest member has waited
-  ``batch_wait_s``.
+  the batch).  Nothing waits for peers: a request that finds a slot idle
+  is dispatched at once, so batches form only from a backlog.
 * **loss-free crashes** -- worker crash recovery lives in the pool; the
   scheduler adds completion accounting so every request's latency (queue
   wait included) lands in the metrics registry.
@@ -32,6 +33,7 @@ from typing import Any, Dict, Optional
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
 
+from . import pool as _pool
 from .deadline import Deadline, DeadlineExceeded, earliest
 from .pool import PoolClosed, PoolFuture, WorkerPool
 from .stats import MetricsRegistry
@@ -71,12 +73,12 @@ class Scheduler:
         Queue capacity across both lanes; beyond it :class:`QueueFull`.
     max_inflight:
         Tasks handed to the pool at once (default: one per worker).
-        Keeping this small is what makes priorities effective.
-    batch_max / batch_bytes / batch_wait_s:
-        A request at most ``batch_bytes`` big is batchable; up to
-        ``batch_max`` same-name batchable requests from one lane coalesce
-        into a single dispatch, flushed when full or when the oldest has
-        waited ``batch_wait_s`` seconds.
+        Keeping this small is what makes priorities effective.  Settable
+        while running (the autoscaler does); a raise dispatches at once.
+    batch_max / batch_bytes:
+        A request at most ``batch_bytes`` big is batchable; when a slot
+        frees, up to ``batch_max`` same-name batchable requests queued at
+        the head of one lane go out as a single dispatch.
     """
 
     def __init__(
@@ -86,9 +88,7 @@ class Scheduler:
         max_inflight: Optional[int] = None,
         batch_max: int = 8,
         batch_bytes: int = 1 << 20,
-        batch_wait_s: float = 0.01,
         stats: Optional[MetricsRegistry] = None,
-        poll_s: float = 0.02,
     ):
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -97,12 +97,10 @@ class Scheduler:
         self.pool = pool
         self.stats = stats if stats is not None else pool.stats
         self.max_pending = max_pending
-        self.max_inflight = max_inflight if max_inflight is not None else pool.nworkers
         self.batch_max = batch_max
         self.batch_bytes = batch_bytes
-        self.batch_wait_s = batch_wait_s
-        self._poll_s = poll_s
         self._cv = threading.Condition()
+        self._max_inflight = max_inflight if max_inflight is not None else pool.nworkers
         self._lanes: Dict[str, "deque[_Request]"] = {p: deque() for p in PRIORITIES}
         self._inflight = 0
         self._closing = False
@@ -160,6 +158,16 @@ class Scheduler:
         with self._cv:
             return sum(len(lane) for lane in self._lanes.values())
 
+    @property
+    def max_inflight(self) -> int:
+        return self._max_inflight
+
+    @max_inflight.setter
+    def max_inflight(self, n: int) -> None:
+        with self._cv:
+            self._max_inflight = n
+            self._cv.notify_all()  # a raised cap frees slots right now
+
     # -- shutdown -----------------------------------------------------------
 
     def shutdown(
@@ -212,16 +220,17 @@ class Scheduler:
             with self._cv:
                 lane = self._next_lane()
                 while not (
-                    (lane is not None and self._inflight < self.max_inflight)
+                    (lane is not None and self._inflight < self._max_inflight)
                     or self._closing
                 ):
-                    self._cv.wait(self._poll_s)
+                    # every state change notifies; the timeout is a backstop
+                    self._cv.wait(_pool.HOUSEKEEPING_TICK_S)
                     lane = self._next_lane()
                 if lane is None:
                     if self._closing:
                         return
                     continue
-                if self._inflight >= self.max_inflight and not self._closing:
+                if self._inflight >= self._max_inflight and not self._closing:
                     continue
                 head = self._lanes[lane].popleft()
                 if head.future.cancelled():
@@ -253,27 +262,22 @@ class Scheduler:
         )
 
     def _fill_batch(self, batch, lane, shed) -> None:
-        """Gather same-name batchable peers (must be called under _cv);
-        expired peers are moved to ``shed`` instead of batched."""
+        """Take the same-name batchable peers already queued behind the
+        head (must be called under _cv; never waits for more); expired
+        peers are moved to ``shed`` instead of batched."""
         first = batch[0]
-        deadline = first.t_enqueue + self.batch_wait_s
-        while len(batch) < self.batch_max:
-            queue = self._lanes[lane]
-            while queue and len(batch) < self.batch_max:
-                peer = queue[0]
-                if peer.future.cancelled():
-                    queue.popleft()
-                    continue
-                if peer.deadline is not None and peer.deadline.expired:
-                    shed.append(queue.popleft())
-                    continue
-                if not (peer.batchable and peer.name == first.name):
-                    return  # preserve FIFO order within the lane
-                batch.append(queue.popleft())
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0 or self._closing or len(batch) >= self.batch_max:
-                return
-            self._cv.wait(min(remaining, self._poll_s))
+        queue = self._lanes[lane]
+        while queue and len(batch) < self.batch_max:
+            peer = queue[0]
+            if peer.future.cancelled():
+                queue.popleft()
+                continue
+            if peer.deadline is not None and peer.deadline.expired:
+                shed.append(queue.popleft())
+                continue
+            if not (peer.batchable and peer.name == first.name):
+                return  # preserve FIFO order within the lane
+            batch.append(queue.popleft())
 
     def _publish_depth(self) -> None:
         self.stats.gauge("scheduler.queue_depth").set(
@@ -282,8 +286,8 @@ class Scheduler:
 
     def _record_waits(self, batch) -> None:
         """One finished ``scheduler.wait`` span per traced request: the
-        time between submission and hand-off to the pool (queue wait plus
-        any micro-batching delay), parented under the request's span."""
+        time between submission and hand-off to the pool, parented under
+        the request's span."""
         now = time.perf_counter()
         for req in batch:
             if req.trace is not None:

@@ -61,7 +61,6 @@ class ServiceConfig:
     max_inflight: Optional[int] = None
     batch_max: int = 8
     batch_bytes: int = 1 << 20
-    batch_wait_s: float = 0.005
     warmup: bool = True
     # -- resilience (docs/RESILIENCE.md) ------------------------------------
     resilience: bool = True  # route via ResilientRouter
@@ -183,7 +182,6 @@ class CompressionService:
             max_inflight=cfg.max_inflight,
             batch_max=cfg.batch_max,
             batch_bytes=cfg.batch_bytes,
-            batch_wait_s=cfg.batch_wait_s,
             stats=self.stats,
         )
         self.router: Optional[ResilientRouter] = None

@@ -11,6 +11,7 @@ import glob
 
 import pytest
 
+from repro.serve import pool as pool_module
 from repro.serve.shm import SEGMENT_PREFIX, active_segments
 
 
@@ -26,3 +27,11 @@ def no_shm_leaks():
     assert not leaked, f"test leaked live shm arenas: {leaked}"
     on_disk = [s for s in _dev_shm_segments() if s not in before]
     assert not on_disk, f"test leaked /dev/shm segments: {on_disk}"
+
+
+@pytest.fixture
+def slow_tick(monkeypatch):
+    """Stretch the pool/scheduler housekeeping tick to 5 s.  Dispatch is
+    event-driven, so work must still flow in milliseconds; anything that
+    waits for the tick instead shows up as a multi-second stall."""
+    monkeypatch.setattr(pool_module, "HOUSEKEEPING_TICK_S", 5.0)

@@ -1,5 +1,6 @@
 """Worker pool: dispatch, warmup, crash recovery, shutdown."""
 
+import sys
 import threading
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.serve import PoolClosed, TaskError, WorkerCrash, WorkerPool
+from repro.serve import pool as pool_module
 from repro.serve.pool import CancelledError, PoolFuture, register_task
 
 # -- injectable tasks (registered at import time so fork workers see them) --
@@ -157,6 +159,89 @@ class TestThreadPool:
     def test_bad_backend_name(self):
         with pytest.raises(ValueError):
             WorkerPool(nworkers=1, backend="gpu")
+
+
+class TestEventDrivenDispatch:
+    """Submissions, resizes and shutdown wake the manager: none of them
+    waits for the housekeeping tick (stretched to 5 s by ``slow_tick``)."""
+
+    @pytest.mark.parametrize(
+        "backend,transport",
+        [("thread", "pickle"), ("process", "pickle"), ("process", "shm")],
+    )
+    def test_round_trips_do_not_wait_for_the_tick(self, slow_tick, backend, transport):
+        pool = WorkerPool(nworkers=1, backend=backend, transport=transport, warmup=False)
+        try:
+            assert pool.wait_ready(60.0)
+            payload = np.arange(4096, dtype=np.float32)  # 16 KiB: shm-eligible
+            t0 = time.perf_counter()
+            for _ in range(20):
+                assert np.array_equal(pool.submit("pool.echo", payload).result(10), payload)
+            assert time.perf_counter() - t0 < 2.0
+            if transport == "shm":
+                assert pool.stats.counter("pool.transport.dispatch_shm_bytes").value > 0
+        finally:
+            t0 = time.perf_counter()
+            pool.shutdown()
+            shutdown_s = time.perf_counter() - t0
+        assert shutdown_s < 2.0
+
+    def test_resize_spawns_without_waiting_for_the_tick(self, slow_tick):
+        with WorkerPool(nworkers=1, backend="thread", warmup=False) as pool:
+            assert pool.wait_ready(10.0)
+            t0 = time.perf_counter()
+            assert pool.resize(2)
+            while pool.workers_alive < 2 and time.perf_counter() - t0 < 2.0:
+                time.sleep(0.005)
+            assert pool.workers_alive == 2
+            assert pool.wait_ready(2.0)
+            assert time.perf_counter() - t0 < 2.0
+
+    def test_wakes_coalesce_and_none_is_lost(self, slow_tick):
+        """While the manager is busy (here: stuck in a done-callback),
+        any number of submissions queue exactly one wake, and every task
+        they queued still runs as soon as the manager is free."""
+        with WorkerPool(nworkers=1, backend="thread", warmup=False) as pool:
+            assert pool.wait_ready(10.0)
+            in_callback, release = threading.Event(), threading.Event()
+            first = pool.submit("pool.echo", "first")
+            first.add_done_callback(lambda _f: (in_callback.set(), release.wait(10)))
+            assert in_callback.wait(5.0)
+            futures = [pool.submit("pool.echo", i) for i in range(10)]
+            # one coalesced wake on the (thread backend's) result queue
+            assert list(pool._outq.queue) == [pool_module._WAKE]
+            t0 = time.perf_counter()
+            release.set()
+            assert [f.result(2.0) for f in futures] == list(range(10))
+            assert time.perf_counter() - t0 < 2.0
+
+    def test_concurrent_submitters_lose_no_wake(self, slow_tick):
+        """Race the coalesced wake from 8 client threads doing back-to-back
+        round trips on 4 workers, with a tiny switch interval: a lost wake
+        strands a task until the 5 s tick, past its 4 s result timeout."""
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(nworkers=4, backend="thread", warmup=False) as pool:
+                assert pool.wait_ready(10.0)
+                errors = []
+
+                def client(t):
+                    try:
+                        for i in range(50):
+                            assert pool.submit("pool.echo", (t, i)).result(4.0) == (t, i)
+                    except BaseException as e:  # noqa: BLE001 - reported below
+                        errors.append(e)
+
+                threads = [threading.Thread(target=client, args=(t,)) for t in range(8)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(30.0)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+        finally:
+            sys.setswitchinterval(prev)
 
 
 class TestCrashRecovery:

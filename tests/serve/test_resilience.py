@@ -179,7 +179,7 @@ class TestDeadlineShedding:
     def test_scheduler_sheds_expired_request(self):
         with WorkerPool(nworkers=1, warmup=False) as pool:
             pool.wait_ready()
-            sched = Scheduler(pool, batch_wait_s=0.0)
+            sched = Scheduler(pool)
             blocker = sched.submit("res.sleep", 0.3, batchable=False)
             doomed = sched.submit(
                 "res.echo2", "x", batchable=False, deadline=Deadline.after(0.05)
@@ -407,7 +407,7 @@ class TestTaxonomy:
 def _router(**router_kw):
     pool = WorkerPool(nworkers=1, warmup=False)
     pool.wait_ready()
-    sched = Scheduler(pool, batch_wait_s=0.0)
+    sched = Scheduler(pool)
     router = ResilientRouter(sched, **router_kw)
     return pool, sched, router
 

@@ -49,7 +49,7 @@ def _occupy(pool, sched, seconds=0.3):
 
 class TestBackpressure:
     def test_queue_full_raises(self, pool):
-        sched = Scheduler(pool, max_pending=2, max_inflight=1, batch_wait_s=0.0)
+        sched = Scheduler(pool, max_pending=2, max_inflight=1)
         try:
             blocker = _occupy(pool, sched)
             f1 = sched.submit("pool.echo", 1, batchable=False)
@@ -84,7 +84,7 @@ class TestPriorityLanes:
     def test_interactive_overtakes_queued_bulk(self, pool):
         """With the worker busy, an interactive request submitted AFTER
         two bulk requests completes before both of them."""
-        sched = Scheduler(pool, max_inflight=1, batch_wait_s=0.0)
+        sched = Scheduler(pool, max_inflight=1)
         order = []
         lock = threading.Lock()
 
@@ -122,7 +122,7 @@ class TestPriorityLanes:
 
 class TestBatching:
     def test_small_requests_coalesce(self, pool):
-        sched = Scheduler(pool, max_inflight=1, batch_max=8, batch_wait_s=0.25)
+        sched = Scheduler(pool, max_inflight=1, batch_max=8)
         try:
             blocker = _occupy(pool, sched)  # hold the worker so peers queue up
             futures = [sched.submit("pool.echo", i, nbytes=8) for i in range(4)]
@@ -140,7 +140,7 @@ class TestBatching:
 
     def test_lone_request_flushes_on_timeout(self, pool):
         # A batchable request with no peers must not wait forever.
-        sched = Scheduler(pool, batch_max=8, batch_wait_s=0.05)
+        sched = Scheduler(pool, batch_max=8)
         try:
             t0 = time.perf_counter()
             assert sched.submit("pool.echo", 42, nbytes=8).result(10) == 42
@@ -149,7 +149,7 @@ class TestBatching:
             sched.shutdown()
 
     def test_large_requests_never_batch(self, pool):
-        sched = Scheduler(pool, batch_bytes=100, batch_wait_s=0.25, max_inflight=1)
+        sched = Scheduler(pool, batch_bytes=100, max_inflight=1)
         try:
             blocker = _occupy(pool, sched)
             futures = [
@@ -162,7 +162,7 @@ class TestBatching:
             sched.shutdown()
 
     def test_one_bad_item_does_not_sink_its_batch(self, pool):
-        sched = Scheduler(pool, max_inflight=1, batch_max=8, batch_wait_s=0.25)
+        sched = Scheduler(pool, max_inflight=1, batch_max=8)
         try:
             blocker = _occupy(pool, sched)
             good0 = sched.submit("sched_test.maybe_fail", "a", nbytes=8)
@@ -176,6 +176,38 @@ class TestBatching:
             assert sched.stats.counter("scheduler.batches").value >= 1
         finally:
             sched.shutdown()
+
+
+class TestEventDriven:
+    """Nothing in the scheduler waits for the housekeeping tick (stretched
+    to 5 s by ``slow_tick``): not a lone batchable request, not a raised
+    ``max_inflight``."""
+
+    def test_lone_batchable_requests_dispatch_at_once(self, slow_tick, pool):
+        sched = Scheduler(pool)
+        try:
+            t0 = time.perf_counter()
+            for i in range(20):
+                assert sched.submit("pool.echo", i, nbytes=8).result(10) == i
+            assert time.perf_counter() - t0 < 2.0
+            assert sched.stats.counter("scheduler.batches").value == 0
+        finally:
+            sched.shutdown()
+
+    def test_raising_max_inflight_dispatches_at_once(self, slow_tick):
+        pool = WorkerPool(nworkers=2, backend="thread", warmup=False)
+        sched = Scheduler(pool, max_inflight=1)
+        try:
+            assert pool.wait_ready(10.0)
+            blocker = _occupy(pool, sched, seconds=3.0)
+            queued = sched.submit("pool.echo", "next", batchable=False)
+            time.sleep(0.2)  # the dispatcher sees the full cap and waits again
+            sched.max_inflight = 2  # what the autoscaler does on scale-up
+            assert queued.result(2.0) == "next"
+            assert not blocker.done()  # the raised cap freed the slot
+        finally:
+            sched.shutdown()
+            pool.shutdown()
 
 
 class TestCrashResubmission:
@@ -196,7 +228,7 @@ class TestShutdown:
     def test_shutdown_with_inflight_work_never_deadlocks(self, pool):
         """Acceptance: shutdown returns promptly with queued + in-flight
         requests outstanding."""
-        sched = Scheduler(pool, max_inflight=1, batch_wait_s=0.0)
+        sched = Scheduler(pool, max_inflight=1)
         blocker = _occupy(pool, sched, seconds=0.3)
         pending = [
             sched.submit("pool.sleep", 0.3, batchable=False) for _ in range(4)
@@ -209,7 +241,7 @@ class TestShutdown:
             assert isinstance(f.exception(10), CancelledError)
 
     def test_drain_shutdown_completes_pending(self, pool):
-        sched = Scheduler(pool, batch_wait_s=0.0)
+        sched = Scheduler(pool)
         futures = [sched.submit("pool.echo", i, batchable=False) for i in range(5)]
         sched.shutdown(wait=True, cancel_pending=False, timeout=10.0)
         assert [f.result(10) for f in futures] == list(range(5))

@@ -13,7 +13,7 @@ from tests.helpers import assert_error_bounded, value_range
 @pytest.fixture
 def svc():
     s = CompressionService(
-        ServiceConfig(workers=2, backend="thread", warmup=False, batch_wait_s=0.002)
+        ServiceConfig(workers=2, backend="thread", warmup=False)
     )
     yield s
     s.close()
