@@ -21,13 +21,13 @@ Usage::
         --quick --check benchmarks/results/BENCH_core.json
 
 ``--quick`` shrinks the field to 4 MiB for CI smoke runs.  ``--check``
-compares the run's per-backend headline compress throughput against a
-previously committed results file (the quick run compares against that
-file's per-backend ``ci_reference`` section, measured with ``--quick`` on
-the same machine that produced the full numbers) and exits non-zero on a
->30% regression.  A backend absent from the reference (e.g. numba on a
-host where the committed file was recorded without it) is reported but
-never gated.
+compares the run's per-backend headline compress and decompress
+throughput against a previously committed results file (the quick run
+compares against that file's per-backend ``ci_reference`` section,
+measured with ``--quick`` on the same machine that produced the full
+numbers) and exits non-zero when either drops by more than 30%.  A
+backend absent from the reference (e.g. numba on a host where the
+committed file was recorded without it) is reported but never gated.
 """
 
 from __future__ import annotations
@@ -49,8 +49,12 @@ from repro.datasets import get_dataset  # noqa: E402
 #: pre-rewrite kernel throughput on the 64 MiB float32 field (MiB/s)
 BASELINE = {"compress_MiBps": 72.0, "decompress_MiBps": 60.0}
 
-#: CI fails when compress throughput drops below this fraction of baseline
+#: CI fails when compress or decompress throughput drops below this
+#: fraction of the committed reference
 REGRESSION_FLOOR = 0.70
+
+#: The headline metrics ``--check`` gates, each against its own reference.
+GATED = ("compress_MiBps", "decompress_MiBps")
 
 FULL_ELEMS = 1 << 24  # 16M float32 = 64 MiB
 QUICK_ELEMS = 1 << 20  # 1M float32 = 4 MiB
@@ -174,24 +178,31 @@ def check_regression(report: dict, baseline_path: str) -> int:
             # only: the gate never compares jit numbers against numpy ones
             print(
                 f"{backend}: no committed reference for this backend; "
-                f"measured {head['compress_MiBps']:.1f} MiB/s (not gated)"
+                f"measured {head['compress_MiBps']:.1f} MiB/s compress, "
+                f"{head['decompress_MiBps']:.1f} MiB/s decompress (not gated)"
             )
             continue
-        got = head["compress_MiBps"]
-        floor = REGRESSION_FLOOR * ref_head["compress_MiBps"]
-        if got < floor:
-            print(
-                f"REGRESSION [{backend}]: headline compress {got:.1f} MiB/s "
-                f"is below {REGRESSION_FLOOR:.0%} of the committed baseline "
-                f"{ref_head['compress_MiBps']:.1f} MiB/s (floor {floor:.1f})"
-            )
-            rc = 1
-        else:
-            print(
-                f"regression check OK [{backend}]: {got:.1f} MiB/s >= "
-                f"{floor:.1f} MiB/s ({REGRESSION_FLOOR:.0%} of committed "
-                f"{ref_head['compress_MiBps']:.1f})"
-            )
+        for metric in GATED:
+            direction = metric.split("_")[0]
+            got = head[metric]
+            if metric not in ref_head:
+                print(f"{backend}: no committed {direction} reference; "
+                      f"measured {got:.1f} MiB/s (not gated)")
+                continue
+            floor = REGRESSION_FLOOR * ref_head[metric]
+            if got < floor:
+                print(
+                    f"REGRESSION [{backend}]: headline {direction} {got:.1f} MiB/s "
+                    f"is below {REGRESSION_FLOOR:.0%} of the committed baseline "
+                    f"{ref_head[metric]:.1f} MiB/s (floor {floor:.1f})"
+                )
+                rc = 1
+            else:
+                print(
+                    f"regression check OK [{backend}] {direction}: {got:.1f} MiB/s >= "
+                    f"{floor:.1f} MiB/s ({REGRESSION_FLOOR:.0%} of committed "
+                    f"{ref_head[metric]:.1f})"
+                )
     return rc
 
 
@@ -206,7 +217,8 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--check",
         metavar="BASELINE_JSON",
-        help="exit non-zero if headline compress regresses >30%% vs this file",
+        help="exit non-zero if headline compress or decompress regresses >30%% "
+        "vs this file",
     )
     args = ap.parse_args(argv)
 

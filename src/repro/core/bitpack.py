@@ -104,8 +104,8 @@ def _byte_image(mag: np.ndarray) -> np.ndarray:
 
 
 def pack_planes(mag: np.ndarray, fl: int) -> np.ndarray:
-    """Encode ``(g, L)`` magnitudes (all < 2**fl) as ``(g, fl * L // 8)``
-    bit-plane bytes, LSB plane first."""
+    """Encode bit-planes ``0 .. fl-1`` of ``(g, L)`` magnitudes as
+    ``(g, fl * L // 8)`` bytes, LSB plane first (higher bits are ignored)."""
     g, length = mag.shape
     if fl == 0:
         return np.empty((g, 0), dtype=np.uint8)
@@ -151,6 +151,12 @@ def unpack_planes(
 
 def apply_signs(mag: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """Combine magnitudes and negativity mask into signed deltas, negating
-    in place (``mag`` is always a decoder-owned scratch array)."""
-    np.negative(mag, out=mag, where=negative)
+    in place (``mag`` is always a decoder-owned scratch array).  Negation
+    is two's complement under a 0/-1 mask, ``(m ^ -1) - (-1)``: three
+    branch-free passes, where a masked ``np.negative`` mispredicts on the
+    noisy signs of real fields."""
+    minus = negative.view(np.uint8).astype(mag.dtype)
+    np.negative(minus, out=minus)
+    np.bitwise_xor(mag, minus, out=mag)
+    np.subtract(mag, minus, out=mag)
     return mag

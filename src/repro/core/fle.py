@@ -16,19 +16,23 @@ this module performs the Lossless Encoding step of the cuSZp2 pipeline:
   comparison; no re-encoding is needed, matching the paper's single
   magnitude pass.
 
-Everything is vectorized by grouping blocks with identical
-``(mode, fixed-length, outlier-width)`` signatures and encoding or decoding
-each group as one tensor operation.  Group payload rows move through
-*contiguous run copies*: blocks of one signature overwhelmingly appear in
-runs on real fields (smooth regions share a fixed length), and a run of
-adjacent blocks occupies one contiguous byte range of the payload, so most
-scatter/gather traffic is plain ``memcpy``-style slice assignment rather
-than fancy indexing.  Fragmented groups fall back to a single flat-index
-copy -- no ``(n, w)`` index matrix and no ``np.add.at`` anywhere.
+Every block runs the same code, as on the GPU (Sections III and IV-B).
+Blocks are processed in tiles of :data:`TILE_BLOCKS`; inside a tile each
+non-zero block gets one *padded row*: ``L/8`` sign bytes, 4 outlier bytes,
+then bit-planes up to the tile's largest ``fl`` (planes past the first
+magnitude byte are packed only for the blocks that reach them).  A block's
+offset byte alone says which bytes of its row the stream keeps, so a
+256-row boolean *layout table* (:func:`layout`) holds that answer for every
+offset byte.  Compacting the rows in block order through the table is the
+paper's prefix-sum concatenation and yields the payload exactly; decoding
+scatters the payload back into zeroed rows through the same table.  There
+is no loop over block signatures: the only Python-level loops are over
+tiles and over the (at most four) magnitude bytes.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
@@ -37,9 +41,12 @@ from . import bitpack, blockfmt
 from .errors import QuantizationOverflowError, StreamFormatError
 from .quantize import MAX_QUANT_MAGNITUDE
 
-#: Above this many runs per row (as a fraction of rows) the run loop would
-#: degrade to Python-loop speed, so scatter/gather switch to one flat copy.
-_RUN_FALLBACK_DIVISOR = 4
+#: Blocks per tile: keeps a tile's rows, magnitudes and byte image
+#: cache-sized on large fields.
+TILE_BLOCKS = 1 << 14
+
+#: Row bytes reserved for the outlier: the widest adaptive outlier.
+_OUTLIER_BYTES = 4
 
 
 def _check_row_max(row_max: np.ndarray) -> None:
@@ -50,55 +57,67 @@ def _check_row_max(row_max: np.ndarray) -> None:
         )
 
 
-def _contiguous_runs(starts: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximal runs of rows whose payload segments are byte-adjacent.
-
-    ``starts`` is ascending; rows ``i`` and ``i+1`` are adjacent exactly
-    when ``starts[i+1] - starts[i] == width``.  Returns ``(lo, hi)`` row
-    index bounds per run.
-    """
-    breaks = np.flatnonzero(np.diff(starts) != width)
-    lo = np.concatenate(([0], breaks + 1))
-    hi = np.concatenate((breaks + 1, [starts.size]))
-    return lo, hi
-
-
-def _flat_indices(starts: np.ndarray, width: int) -> np.ndarray:
-    """Flat payload index of every byte of every row (fragmented fallback).
-    One broadcast add materializes the whole index in a single pass."""
-    return (starts[:, None] + np.arange(width, dtype=np.int64)).reshape(-1)
-
-
-def _scatter_rows(out: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> None:
-    """Write each payload row ``rows[i]`` at ``out[starts[i]: starts[i]+w]``."""
-    n, w = rows.shape
-    if n == 0 or w == 0:
-        return
-    flat = np.ascontiguousarray(rows).reshape(-1)
-    lo, hi = _contiguous_runs(starts, w)
-    if lo.size > max(8, n // _RUN_FALLBACK_DIVISOR):
-        out[_flat_indices(starts, w)] = flat
-        return
-    for a, b in zip(lo.tolist(), hi.tolist()):
-        s = int(starts[a])
-        out[s : s + (b - a) * w] = flat[a * w : b * w]
+@functools.lru_cache(maxsize=16)
+def layout(block: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The layout table for ``block``-element blocks: ``keep[o, j]`` says
+    whether byte ``j`` of a padded row (signs, outlier, planes 0..30) is in
+    the stream for offset byte ``o``, and ``sizes[o]`` is that block's
+    payload size (the number of bytes ``keep[o]`` selects).  Both are
+    read-only."""
+    sign_bytes = block // 8
+    mode, onb, fl = blockfmt.decode_offset_bytes(np.arange(256, dtype=np.uint8))
+    col = np.arange(sign_bytes + _OUTLIER_BYTES + 31 * sign_bytes)
+    planes_end = sign_bytes + _OUTLIER_BYTES + fl.astype(np.int64) * sign_bytes
+    keep = (col < sign_bytes + onb[:, None]) | (
+        (col >= sign_bytes + _OUTLIER_BYTES) & (col < planes_end[:, None])
+    )
+    keep[(mode == blockfmt.MODE_PLAIN) & (fl == 0)] = False  # zero blocks
+    sizes = blockfmt.payload_sizes(mode, onb, fl, block)
+    keep.flags.writeable = False
+    sizes.flags.writeable = False
+    return keep, sizes
 
 
-def _gather_rows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    if starts.size == 0 or width == 0:
-        return np.empty((starts.size, width), dtype=np.uint8)
-    if int(starts.max()) + width > buf.size:
-        raise StreamFormatError("payload truncated: block data extends past end of stream")
-    n = starts.size
-    out = np.empty(n * width, dtype=np.uint8)
-    lo, hi = _contiguous_runs(starts, width)
-    if lo.size > max(8, n // _RUN_FALLBACK_DIVISOR):
-        out[:] = buf[_flat_indices(starts, width)]
-    else:
-        for a, b in zip(lo.tolist(), hi.tolist()):
-            s = int(starts[a])
-            out[a * width : b * width] = buf[s : s + (b - a) * width]
-    return out.reshape(n, width)
+def _slabs(fl: np.ndarray, fl_max: int, base: int, sign_bytes: int):
+    """``(b, sel, hi, cols)`` per magnitude byte ``b`` above the first:
+    the blocks whose ``fl`` reaches its planes ``8b .. 8b+hi-1`` and the
+    row columns those planes occupy."""
+    for b in range(1, (fl_max + 7) // 8):
+        hi = min(8, fl_max - 8 * b)
+        lo = base + 8 * b * sign_bytes
+        yield b, np.flatnonzero(fl > 8 * b), hi, slice(lo, lo + hi * sign_bytes)
+
+
+def _pack_rows(signs, mag, outlier, fl, block: int) -> np.ndarray:
+    """Padded rows for one tile's non-zero blocks (``mag`` already has each
+    Outlier-FLE block's first element zeroed)."""
+    n = mag.shape[0]
+    sign_bytes = block // 8
+    base = sign_bytes + _OUTLIER_BYTES
+    fl_max = int(fl.max())
+    # bytes a block's offset byte drops are never read, so no zero fill
+    rows = np.empty((n, base + fl_max * sign_bytes), dtype=np.uint8)
+    rows[:, :sign_bytes] = signs
+    rows[:, sign_bytes:base] = outlier.astype("<u4").view(np.uint8).reshape(n, 4)
+    hi = min(8, fl_max)
+    rows[:, base : base + hi * sign_bytes] = bitpack.pack_planes(mag, hi)
+    for b, sel, hi, cols in _slabs(fl, fl_max, base, sign_bytes):
+        rows[sel, cols] = bitpack.pack_planes(mag[sel] >> (8 * b), hi)
+    return rows
+
+
+def _unpack_rows(rows, outlier_sel, fl, block: int, dtype) -> np.ndarray:
+    """Signed ``(n, L)`` deltas from one tile's padded rows."""
+    sign_bytes = block // 8
+    base = sign_bytes + _OUTLIER_BYTES
+    fl_max = int(fl.max())
+    hi = min(8, fl_max)
+    mag = bitpack.unpack_planes(rows[:, base : base + hi * sign_bytes], hi, block, dtype)
+    for b, sel, hi, cols in _slabs(fl, fl_max, base, sign_bytes):
+        mag[sel] |= bitpack.unpack_planes(rows[sel, cols], hi, block, dtype) << (8 * b)
+    outlier = np.ascontiguousarray(rows[outlier_sel, sign_bytes:base]).view("<u4")[:, 0]
+    mag[outlier_sel, 0] = outlier.astype(dtype)
+    return bitpack.apply_signs(mag, bitpack.unpack_signs(rows[:, :sign_bytes], block))
 
 
 def encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarray, np.ndarray]:
@@ -126,6 +145,8 @@ def encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarray, n
         cost_plain = np.where(fl_plain == 0, 0, sign_bytes * (1 + fl_plain))
         cost_outlier = sign_bytes + onb + fl_rest * sign_bytes
         mode = (cost_outlier < cost_plain).astype(np.uint8)
+        # Outlier-FLE blocks' planes carry only the residual magnitudes
+        mag[mode == blockfmt.MODE_OUTLIER, 0] = 0
     else:
         row_max = mag.max(axis=1)
         _check_row_max(row_max)
@@ -137,46 +158,20 @@ def encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarray, n
 
     fl = np.where(mode == blockfmt.MODE_OUTLIER, fl_rest, fl_plain)
     offsets = blockfmt.encode_offset_bytes(mode, np.maximum(onb, 1), fl)
-    sizes = blockfmt.payload_sizes(mode, np.where(mode == 1, onb, 0), fl, L)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    # every payload byte belongs to exactly one block row (sizes are exact),
-    # so the buffer needs no zero fill
-    payload = np.empty(int(sizes.sum()), dtype=np.uint8)
-
-    signs_all = bitpack.pack_signs(dblocks)
-
-    # --- plain groups, keyed by fixed length ------------------------------
-    plain_sel = mode == blockfmt.MODE_PLAIN
-    plain_fls = np.unique(fl[plain_sel])
-    for f in plain_fls:
-        f = int(f)
-        if f == 0:
-            continue  # zero blocks carry no payload
-        idx = np.flatnonzero(plain_sel & (fl == f))
-        rows = np.concatenate([signs_all[idx], bitpack.pack_planes(mag[idx], f)], axis=1)
-        _scatter_rows(payload, starts[idx], rows)
-
-    # --- outlier groups, keyed by (fixed length, outlier width) -----------
-    if use_outlier:
-        out_sel = mode == blockfmt.MODE_OUTLIER
-        if out_sel.any():
-            keys = fl[out_sel] * 8 + onb[out_sel]
-            for key in np.unique(keys):
-                f, k = int(key) // 8, int(key) % 8
-                idx = np.flatnonzero(out_sel & (fl == f) & (onb == k))
-                obytes = (
-                    (omag[idx, None] >> (8 * np.arange(k, dtype=np.int64))) & 0xFF
-                ).astype(np.uint8)
-                # fancy indexing already copied the group's rows, so the
-                # outlier column can be zeroed in place
-                mag_rest = mag[idx]
-                mag_rest[:, 0] = 0
-                rows = np.concatenate(
-                    [signs_all[idx], obytes, bitpack.pack_planes(mag_rest, f)], axis=1
-                )
-                _scatter_rows(payload, starts[idx], rows)
-
-    return offsets, payload
+    keep, _ = layout(L)
+    parts = []
+    for lo in range(0, nblocks, TILE_BLOCKS):
+        # offset byte 0 is exactly the all-zero Plain block: no payload
+        nz = lo + np.flatnonzero(offsets[lo : lo + TILE_BLOCKS])
+        if nz.size:
+            rows = _pack_rows(
+                bitpack.pack_signs(np.take(dblocks, nz, axis=0)),
+                np.take(mag, nz, axis=0), omag[nz], fl[nz], L,
+            )
+            parts.append(rows[np.take(keep[:, : rows.shape[1]], offsets[nz], axis=0)])
+    if len(parts) == 1:
+        return offsets, parts[0]  # one tile: no concatenation copy
+    return offsets, np.concatenate(parts or [np.empty(0, dtype=np.uint8)])
 
 
 def delta_dtype(offsets: np.ndarray, block: int) -> np.dtype:
@@ -198,38 +193,29 @@ def decode_blocks(offsets: np.ndarray, payload: np.ndarray, block: int) -> np.nd
     """Invert :func:`encode_blocks` back to ``(nblocks, L)`` signed deltas
     (int32 when :func:`delta_dtype` proves it exact, else int64)."""
     nblocks = offsets.shape[0]
-    L = block
-    sign_bytes = L // 8
-    mode, onb, fl = blockfmt.decode_offset_bytes(offsets)
-    sizes = blockfmt.payload_sizes(mode, onb, fl, L)
+    offsets = offsets.astype(np.uint8, copy=False)
+    keep, row_sizes = layout(block)
+    sizes = row_sizes[offsets]
     total = int(sizes.sum())
     if total != payload.size:
         raise StreamFormatError(
             f"offset bytes describe {total} payload bytes but stream holds {payload.size}"
         )
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
     dtype = delta_dtype(offsets, block)
-    deltas = np.zeros((nblocks, L), dtype=dtype)
-
-    fl64 = fl.astype(np.int64)
-    keys = mode.astype(np.int64) * 512 + fl64 * 8 + onb.astype(np.int64)
-    for key in np.unique(keys):
-        m, rem = divmod(int(key), 512)
-        f, k = divmod(rem, 8)
-        idx = np.flatnonzero(keys == key)
-        if m == blockfmt.MODE_PLAIN and f == 0:
-            continue  # zero blocks decode to all-zero deltas
-        width = int(sizes[idx[0]])
-        rows = _gather_rows(payload, starts[idx], width)
-        negative = bitpack.unpack_signs(rows[:, :sign_bytes], L)
-        if m == blockfmt.MODE_PLAIN:
-            mag = bitpack.unpack_planes(rows[:, sign_bytes:], f, L, dtype)
-        else:
-            obytes = rows[:, sign_bytes : sign_bytes + k].astype(np.int64)
-            omag = (obytes << (8 * np.arange(k, dtype=np.int64))[None, :]).sum(axis=1)
-            mag = bitpack.unpack_planes(rows[:, sign_bytes + k :], f, L, dtype)
-            mag[:, 0] = omag
-        deltas[idx] = bitpack.apply_signs(mag, negative)
+    deltas = np.zeros((nblocks, block), dtype=dtype)
+    pos = 0
+    for lo in range(0, nblocks, TILE_BLOCKS):
+        nz = lo + np.flatnonzero(sizes[lo : lo + TILE_BLOCKS])
+        if nz.size == 0:
+            continue
+        off = offsets[nz]
+        mode, _, fl = blockfmt.decode_offset_bytes(off)
+        width = block // 8 + _OUTLIER_BYTES + int(fl.max()) * (block // 8)
+        rows = np.zeros((nz.size, width), dtype=np.uint8)
+        end = pos + int(sizes[nz].sum())
+        rows[np.take(keep[:, :width], off, axis=0)] = payload[pos:end]
+        pos = end
+        deltas[nz] = _unpack_rows(rows, mode == blockfmt.MODE_OUTLIER, fl, block, dtype)
     return deltas
 
 

@@ -167,21 +167,17 @@ class RandomAccessor:
                 f"[{indices.min()}, {indices.max()}]"
             )
         L = self.header.block
-        starts = self._starts[indices]
-        good = starts >= 0
-        widths = np.where(good, self._sizes[indices], 0)
+        good = self._starts[indices] >= 0
         deltas = np.zeros((indices.size, L), dtype=np.int64)
-        for w in np.unique(widths[good]) if good.any() else []:
-            sel = good & (widths == w)
-            row_starts = starts[sel]
-            rows_payload = (
-                self._payload[row_starts[:, None] + np.arange(int(w))[None, :]]
-                if w
-                else np.empty((int(sel.sum()), 0), dtype=np.uint8)
-            )
-            deltas[sel] = fle.decode_blocks(
-                self._offsets[indices[sel]], rows_payload.reshape(-1), L
-            )
+        if good.any():
+            # the selected blocks' payloads, concatenated in request order,
+            # decode in one FLE call
+            picked = indices[good]
+            widths = self._sizes[picked]
+            ends = np.cumsum(widths)
+            shift = np.repeat(self._starts[picked] - (ends - widths), widths)
+            flat = np.arange(int(ends[-1])) + shift
+            deltas[good] = fle.decode_blocks(self._offsets[picked], self._payload[flat], L)
         q = predictor.undiff_1d(deltas)
         out = dequantize(q, self.header.eb_abs, self.header.dtype)
         if not good.all():

@@ -281,14 +281,9 @@ class CompressionService:
             return self._compress_codec(
                 data, rel=rel, abs=abs, priority=priority, timeout_s=timeout_s
             )
-        if (rel is None) == (abs is None):
-            raise InvalidInputError("specify exactly one of rel= or abs=")
-        eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
-        eb_abs = eb.resolve(validate_input(data))
         mode = mode if mode is not None else cfg.mode
-        t0 = time.perf_counter()
-        self.stats.counter("service.requests").inc()
-        self.stats.counter("service.bytes_in").inc(data.nbytes)
+        # the span opens before validation, so the input scan and bound
+        # resolution are inside the request's traced time
         span = (
             self.tracer.begin(
                 "service.compress", bytes_in=int(data.nbytes), mode=mode,
@@ -297,6 +292,18 @@ class CompressionService:
             if self.tracer is not None
             else None
         )
+        try:
+            if (rel is None) == (abs is None):
+                raise InvalidInputError("specify exactly one of rel= or abs=")
+            eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
+            eb_abs = eb.resolve(validate_input(data))
+        except BaseException:
+            if span is not None:
+                self.tracer.end(span, ok=False)
+            raise
+        t0 = time.perf_counter()
+        self.stats.counter("service.requests").inc()
+        self.stats.counter("service.bytes_in").inc(data.nbytes)
         trace = TraceContext(self.tracer, span) if span is not None else None
         deadline = self._deadline(timeout_s)
         validator = _verify_stream_result if cfg.validate_results else None

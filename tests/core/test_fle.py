@@ -1,8 +1,10 @@
 """Unit tests for Plain- and Outlier fixed-length encoding + selection."""
 
+import sys
+
 import numpy as np
 
-from tests.helpers import seeded_rng
+from tests.helpers import fle_signature_blocks, seeded_rng
 import pytest
 
 from repro.core import blockfmt, fle
@@ -139,3 +141,68 @@ class TestGuards:
         d = rng.integers(-100, 100, size=(30, 32)).astype(np.int64)
         offsets, payload = fle.encode_blocks(d, True)
         assert int(fle.block_payload_sizes(offsets, 32).sum()) == payload.size
+
+
+class TestLayoutTable:
+    @pytest.mark.parametrize("block", [8, 16, 32, 64, 128])
+    def test_sizes_match_the_format(self, block):
+        # every offset byte's row keeps exactly its block's payload bytes
+        keep, sizes = fle.layout(block)
+        offsets = np.arange(256, dtype=np.uint8)
+        mode, onb, flv = blockfmt.decode_offset_bytes(offsets)
+        np.testing.assert_array_equal(
+            keep.sum(axis=1), blockfmt.payload_sizes(mode, onb, flv, block)
+        )
+        np.testing.assert_array_equal(sizes, keep.sum(axis=1))
+        assert not keep[0].any()  # the all-zero block keeps nothing
+
+    def test_tables_are_read_only(self):
+        keep, sizes = fle.layout(32)
+        with pytest.raises(ValueError):
+            keep[0, 0] = True
+        with pytest.raises(ValueError):
+            sizes[0] = 1
+
+
+def _python_calls(fn, *args) -> int:
+    """Python-level calls (``call`` and ``c_call`` profile events) made
+    while running ``fn(*args)``: a deterministic cost count."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestNoLoopOverSignatures:
+    """Encode and decode run a fixed sequence of whole-tile operations: a
+    tile holding ~100 distinct (mode, fl, outlier width) signatures costs
+    about as many Python-level calls as one holding a single signature."""
+
+    def test_call_count_independent_of_signature_count(self):
+        many, _ = fle_signature_blocks(32)
+        one = np.full(many.shape, (1 << 31) - 1, dtype=np.int64)  # all plain, fl 31
+        for use_outlier in (False, True):
+            fle.encode_blocks(one, use_outlier)  # warm the layout cache
+        streams = {}
+        for name, d in (("one", one), ("many", many)):
+            offsets, payload = fle.encode_blocks(d, True)
+            assert int(blockfmt.decode_offset_bytes(offsets)[2].max()) == 31
+            streams[name] = (
+                len(np.unique(offsets)),
+                _python_calls(fle.encode_blocks, d, True),
+                _python_calls(fle.decode_blocks, offsets, payload, 32),
+            )
+        n_one, enc_one, dec_one = streams["one"]
+        n_many, enc_many, dec_many = streams["many"]
+        assert n_one == 1 and n_many >= 100
+        assert enc_many <= 3 * enc_one, (enc_one, enc_many)
+        assert dec_many <= 3 * dec_one, (dec_one, dec_many)

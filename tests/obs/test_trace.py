@@ -361,6 +361,29 @@ class TestServiceIntegration:
         comp = tr.find("codec.compress")[0]
         assert sum(c.duration_s for c in comp.children) <= comp.duration_s * 1.05
 
+    def test_compress_span_covers_validation(self):
+        # the request span opens before input validation and closes with
+        # ok=False when validation rejects the request; the request
+        # counters still count only validated requests
+        from repro.core.errors import InvalidInputError
+        from repro.serve.service import CompressionService
+
+        tr = Tracer()
+        bad = np.array([1.0, np.nan], dtype=np.float32)
+        with CompressionService(workers=1, backend="thread", tracer=tr) as svc:
+            with pytest.raises(InvalidInputError):
+                svc.compress(bad, rel=1e-3)
+            with pytest.raises(InvalidInputError):
+                svc.compress(np.ones(8, dtype=np.float32))  # no bound given
+            svc.compress(np.linspace(0, 1, 64, dtype=np.float32), rel=1e-3).result(
+                timeout=60
+            )
+            requests = svc.stats_snapshot()["counters"]["service.requests"]
+        spans = tr.find("service.compress")
+        assert [s.attrs["ok"] for s in spans] == [False, False, True]
+        assert all(s.t1 is not None for s in spans)
+        assert requests == 1
+
     def test_decompress_cache_hit_span(self):
         from repro.serve.service import CompressionService
 
