@@ -41,13 +41,19 @@ shrinks it by stopping idle workers (in-flight tasks always finish) --
 the autoscaler (:mod:`repro.serve.autoscale`) drives this from queue
 depth.
 
-Dispatch is event-driven.  One manager thread owns the worker table and
-blocks on the result queue; a worker's message, a submission, a resize
-and shutdown all land on that queue (the last three as a coalesced
-``"wake"`` message), so a task reaches an idle worker as soon as it is
-queued.  The manager's timed wait, :data:`HOUSEKEEPING_TICK_S`, only
-paces housekeeping: liveness checks, the spawn and deadline watchdogs,
-and shedding of expired queued tasks.
+Dispatch is direct.  The submitting thread claims an idle, ready worker
+under the pool lock and puts the task on that worker's inbox itself, so
+no other thread relays it.  Only when every worker is busy or warming up
+does a task wait in the queue; the worker's next ``done`` or ``ready``
+message then makes the manager hand it on.  One manager thread blocks on
+the result queue.  It is that queue's only reader and the only thread
+that completes a future with a worker's outcome, and it owns liveness
+checks, the spawn and deadline watchdogs, resizing and shedding of
+expired queued tasks.  Resize and shutdown wake it with a coalesced
+``"wake"`` message; its timed wait, :data:`HOUSEKEEPING_TICK_S`, only
+paces housekeeping.  Submitters and the manager both touch the worker
+table, so every access to it and to a worker's in-flight task holds the
+pool lock.
 """
 
 from __future__ import annotations
@@ -68,10 +74,12 @@ from .deadline import Deadline, DeadlineExceeded, WorkerTimeout
 from .stats import MetricsRegistry
 
 
-#: Longest the pool manager (and the scheduler's dispatcher) waits
-#: without an event.  Events end either wait immediately; the tick bounds
-#: how late a dead worker, a wedged spawn or an overrun deadline is
-#: noticed, so ``watchdog_grace_s`` and deadlines of a fraction of a
+#: Longest the pool manager waits without an event, and the pace of its
+#: housekeeping (once per tick, plus once per resize or shutdown wake).
+#: A worker message, a resize or shutdown ends the wait at once; the tick
+#: bounds how late a dead worker, a wedged spawn or an overrun deadline
+#: is noticed, and how long an expired task can sit queued behind busy
+#: workers, so ``watchdog_grace_s`` and deadlines of a fraction of a
 #: second rely on it staying small.
 HOUSEKEEPING_TICK_S = 0.02
 
@@ -85,8 +93,8 @@ class WaitTimeout(TimeoutError):
 
     Subclasses :class:`TimeoutError` for compatibility.  The future is
     *not* cancelled and the task stays queued/in-flight; call
-    :meth:`PoolFuture.cancel` to drop a not-yet-dispatched task (the
-    dispatcher skips cancelled entries) or keep waiting.
+    :meth:`PoolFuture.cancel` to drop a not-yet-dispatched task (dispatch
+    skips cancelled entries) or keep waiting.
     """
 
 
@@ -605,7 +613,11 @@ class WorkerPool:
         trace: Optional[TraceContext] = None,
         deadline: Optional[Deadline] = None,
     ) -> PoolFuture:
-        """Queue task ``name(arg)``; returns (or completes into) a future.
+        """Run task ``name(arg)``; returns (or completes into) a future.
+
+        The calling thread hands the task to an idle, ready worker
+        itself; with every worker busy or warming up the task is queued
+        until one frees.  Neither path sends the manager a message.
 
         ``trace`` parents the worker's span tree under a specific span of
         a specific tracer; when omitted and a tracer is ambiently active
@@ -629,8 +641,7 @@ class WorkerPool:
                 _Task(next(self._task_ids), name, arg, future, trace, deadline)
             )
             self.stats.counter("pool.tasks").inc()
-            self.stats.gauge("pool.queue_depth").set(len(self._pending))
-            self._wake()
+        self._dispatch()
         return future
 
     def map(self, name: str, args: List[Any]) -> List[Any]:
@@ -671,7 +682,8 @@ class WorkerPool:
     @property
     def workers_alive(self) -> int:
         """Workers currently in the table and not draining to a stop."""
-        return sum(1 for w in self._workers.values() if not w.stopping)
+        with self._lock:
+            return sum(1 for w in self._workers.values() if not w.stopping)
 
     def resize(self, nworkers: int) -> bool:
         """Grow or shrink the pool toward ``nworkers``.
@@ -706,7 +718,9 @@ class WorkerPool:
             for task in cancelled:
                 task.future.cancel()
         self._manager.join(timeout)
-        for w in list(self._workers.values()):
+        with self._lock:
+            workers = list(self._workers.values())
+        for w in workers:
             w.handle.join(1.0)
             if w.handle.is_alive():  # pragma: no cover - stuck worker
                 w.handle.terminate()
@@ -723,10 +737,11 @@ class WorkerPool:
     # -- internals ----------------------------------------------------------
 
     def _wake(self) -> None:
-        """End the manager's wait (caller holds ``_lock``).  At most one
-        wake is queued at a time: the manager re-arms the flag when it
-        reads the wake, before it next looks at ``_pending``, so a
-        coalesced submission is never missed."""
+        """End the manager's wait (caller holds ``_lock``); resize and
+        shutdown use it.  At most one wake is queued at a time: the
+        manager re-arms the flag when it reads the wake, before it next
+        looks at the resize target or the closing flag, so a coalesced
+        wake is never missed."""
         if not self._wake_queued:
             self._wake_queued = True
             self._outq.put(_WAKE)
@@ -737,9 +752,11 @@ class WorkerPool:
         handle = self.backend.spawn(
             wid, inq, self._outq, self._warmup, self._transport
         )
-        self._workers[wid] = _WorkerState(wid, handle, inq)
+        with self._lock:
+            self._workers[wid] = _WorkerState(wid, handle, inq)
 
     def _manage(self) -> None:
+        housekeeping_due = 0.0
         while True:
             try:
                 msg = self._outq.get(timeout=HOUSEKEEPING_TICK_S)
@@ -747,18 +764,24 @@ class WorkerPool:
                 msg = None
             except (EOFError, OSError):  # pragma: no cover - queue torn down
                 msg = None
-            if msg is not None:
+            housekeep = msg is None  # a quiet tick
+            while msg is not None:  # drain whatever else already arrived
+                housekeep = housekeep or msg[0] == "wake"
                 self._handle_message(msg)
-                while True:  # drain whatever else already arrived
-                    try:
-                        self._handle_message(self._outq.get_nowait())
-                    except queue.Empty:
-                        break
-            self._check_liveness()
-            self._check_spawn_watchdog()
-            self._check_watchdog()
-            self._apply_resize()
-            self._shed_expired_pending()
+                try:
+                    msg = self._outq.get_nowait()
+                except queue.Empty:
+                    msg = None
+            # housekeeping runs once per tick, or at once for a wake (a
+            # resize or shutdown), not after every worker message: the
+            # caller a message just completed needs the GIL this thread
+            # holds until it blocks again
+            now = time.perf_counter()
+            if housekeep or now >= housekeeping_due:
+                housekeeping_due = now + HOUSEKEEPING_TICK_S
+                self._check_workers()
+                self._apply_resize()
+                self._shed_expired_pending()
             self._dispatch()
             if self._maybe_finish():
                 return
@@ -766,44 +789,49 @@ class WorkerPool:
     def _apply_resize(self) -> None:
         """Converge the worker table toward ``_target_workers``.
 
-        Runs on the manager thread (the only mutator of the table).
-        Shrink is graceful: only idle workers are told to stop; busy ones
-        are revisited on the next loop once their task completes."""
+        Runs on the manager thread.  Shrink is graceful: only idle workers
+        are told to stop (marked under ``_lock``, so no submitter claims
+        one); busy ones are revisited on the next loop once their task
+        completes."""
         if self._closing or self._broken:
             return
-        target = self._target_workers
-        active = [w for w in self._workers.values() if not w.stopping]
-        if len(active) < target:
-            for _ in range(target - len(active)):
-                self.stats.counter("pool.scale_ups").inc()
-                self._spawn_worker()
-        elif len(active) > target:
-            idle = [w for w in active if w.inflight is None and w.ready]
-            for w in idle[: len(active) - target]:
-                w.stopping = True
-                self.stats.counter("pool.scale_downs").inc()
-                w.inq.put(_STOP)
-        self.stats.gauge("pool.workers").set(
-            sum(1 for w in self._workers.values() if not w.stopping)
-        )
+        with self._lock:
+            active = [w for w in self._workers.values() if not w.stopping]
+            missing = self._target_workers - len(active)
+            if missing < 0:
+                idle = [w for w in active if w.inflight is None and w.ready]
+                for w in idle[:-missing]:
+                    w.stopping = True
+                    self.stats.counter("pool.scale_downs").inc()
+                    w.inq.put(_STOP)
+        for _ in range(missing):
+            self.stats.counter("pool.scale_ups").inc()
+            self._spawn_worker()
+        self.stats.gauge("pool.workers").set(self.workers_alive)
 
     def _handle_message(self, msg) -> None:
         kind, wid, task_id, payload, dur, spans = msg
-        if kind == "wake":
-            with self._lock:
+        with self._lock:
+            if kind == "wake":
                 self._wake_queued = False
-            return
-        worker = self._workers.get(wid)
-        if kind == "ready":
-            if worker is not None:
-                with self._ready_cv:
+                return
+            worker = self._workers.get(wid)
+            if kind == "ready":
+                if worker is not None:
                     worker.ready = True
                     self._ready_cv.notify_all()
-            return
-        if kind == "stopped":
-            self._workers.pop(wid, None)
-            return
-        if worker is None or worker.inflight is None:
+                return
+            if kind == "stopped":
+                self._workers.pop(wid, None)
+                return
+            task = worker.inflight if worker is not None else None
+            if task is not None and task.task_id == task_id:
+                worker.inflight = None
+                if kind == "crashed":
+                    del self._workers[wid]
+            else:
+                task = None
+        if task is None:
             # late message from a worker already declared dead; free any
             # result slots it encoded so an abandoned worker cannot leak
             if kind == "done" and self._transport is not None:
@@ -811,10 +839,6 @@ class WorkerPool:
                 if ok_late:
                     self._transport.release_all(value_late)
             return
-        task = worker.inflight
-        if task.task_id != task_id:  # pragma: no cover - defensive
-            return
-        worker.inflight = None
         self._busy_s += dur
         if spans and task.trace is not None:
             # re-parent the worker's span trees under the submitting span
@@ -841,7 +865,6 @@ class WorkerPool:
                 self.stats.counter("pool.task_errors").inc()
                 task.future.set_exception(value)
         elif kind == "crashed":  # thread worker announced its own death
-            del self._workers[wid]
             self._recover(task, payload)
 
     def _copy_out_result(self, value):
@@ -878,67 +901,66 @@ class WorkerPool:
         if pid and pid != os.getpid():
             self._transport.reclaim_owner(pid)
 
-    def _check_liveness(self) -> None:
-        dead = [w for w in self._workers.values()
-                if not w.stopping and not w.handle.is_alive()]
-        for w in dead:
-            del self._workers[w.wid]
-            self._reclaim_worker_slots(w)
-            task = w.inflight
-            self._recover(task, f"worker {w.wid} died")
+    def _check_workers(self) -> None:
+        """Liveness polling and both watchdogs, in one pass over the table.
 
-    def _check_spawn_watchdog(self) -> None:
-        """Replace workers wedged at birth (spawned but never ready).
+        * A dead worker is replaced and its in-flight task resubmitted.
+        * A worker wedged at birth (spawned, never ready) is killed and
+          replaced.  A fork child can deadlock before its first message
+          when another parent thread held a lock (thread-registry,
+          logging, ...) at fork time; the process is alive and has no
+          in-flight task, so neither liveness polling nor the deadline
+          watchdog would ever reclaim it, and dispatch would skip it
+          forever.
+        * A worker whose in-flight task outlived its deadline is
+          reclaimed: a process worker is killed (SIGTERM); a thread
+          worker cannot be killed, so it is *abandoned* (its eventual
+          late message is ignored).  The task's future fails with
+          :class:`WorkerTimeout`.
 
-        A fork child can deadlock before its first message when another
-        parent thread held a lock (thread-registry, logging, ...) at fork
-        time; the process is alive and has no in-flight task, so neither
-        liveness polling nor the deadline watchdog would ever reclaim it,
-        and dispatch would skip it forever.
-        """
+        Each case charges the restart budget.  The workers are taken out
+        of the table under ``_lock``, so no submitter can claim one, and
+        their ``inflight`` is stable afterwards."""
         now = time.perf_counter()
-        wedged = [
-            w for w in self._workers.values()
-            if not w.ready and not w.stopping
-            and now - w.spawned_at > self._spawn_timeout_s
-        ]
+        with self._lock:
+            dead, wedged, stuck = [], [], []
+            for w in self._workers.values():
+                if w.stopping:
+                    continue
+                if not w.handle.is_alive():
+                    dead.append(w)
+                elif not w.ready and now - w.spawned_at > self._spawn_timeout_s:
+                    wedged.append(w)
+                elif (
+                    w.inflight is not None
+                    and w.inflight.deadline is not None
+                    and now >= w.inflight.deadline.at + self._watchdog_grace_s
+                ):
+                    stuck.append(w)
+            for w in dead + wedged + stuck:
+                del self._workers[w.wid]
+        for w in dead:
+            self._reclaim_worker_slots(w)
+            self._recover(w.inflight, f"worker {w.wid} died")
         for w in wedged:
             self.stats.counter("pool.spawn_timeouts").inc()
-            task = w.inflight
-            del self._workers[w.wid]
-            w.inflight = None
-            w.handle.terminate()
-            self._reclaim_worker_slots(w)
             self._recover(
-                task, f"worker {w.wid} never became ready "
+                self._kill(w), f"worker {w.wid} never became ready "
                 f"(wedged spawn, {self._spawn_timeout_s:.1f}s)"
             )
-
-    def _check_watchdog(self) -> None:
-        """Reclaim workers whose in-flight task outlived its deadline.
-
-        A process worker is killed (SIGTERM); a thread worker cannot be
-        killed, so it is *abandoned*: dropped from the worker table (its
-        eventual late message is ignored) while a replacement spawns.
-        Either way the task's future fails with :class:`WorkerTimeout`
-        and the restart budget is charged.
-        """
-        now = time.perf_counter()
-        stuck = [
-            w for w in self._workers.values()
-            if not w.stopping
-            and w.inflight is not None
-            and w.inflight.deadline is not None
-            and now >= w.inflight.deadline.at + self._watchdog_grace_s
-        ]
         for w in stuck:
-            task = w.inflight
             self.stats.counter("pool.watchdog_kills").inc()
-            del self._workers[w.wid]
-            w.inflight = None
-            w.handle.terminate()
-            self._reclaim_worker_slots(w)
-            self._recover(task, f"watchdog reclaimed worker {w.wid}", overrun=True)
+            self._recover(
+                self._kill(w), f"watchdog reclaimed worker {w.wid}", overrun=True
+            )
+
+    def _kill(self, w: "_WorkerState") -> Optional[_Task]:
+        """Terminate a worker already out of the table and free its arena
+        slots; returns the task it held."""
+        task, w.inflight = w.inflight, None
+        w.handle.terminate()
+        self._reclaim_worker_slots(w)
+        return task
 
     def _release_task_refs(self, task: _Task) -> None:
         """Drop the request-slot claims held for a dispatch.  Generation
@@ -957,9 +979,9 @@ class WorkerPool:
             self.stats.counter("pool.worker_crashes").inc()
         self._respawns += 1
         if self._respawns > self._max_respawns:
-            self._broken = True
             failures = [task] if task is not None else []
             with self._lock:
+                self._broken = True
                 failures += list(self._pending)
                 self._pending.clear()
             for t in failures:
@@ -998,16 +1020,14 @@ class WorkerPool:
     def _shed_expired_pending(self) -> None:
         """Fail queued tasks whose deadline expired, even when no worker
         is idle to pop them -- a stalled pool must still honor deadlines."""
-        shed: List[_Task] = []
         with self._lock:
-            if not self._pending:
-                return
             if not any(
                 t.deadline is not None and t.deadline.expired
                 for t in self._pending
             ):
                 return
             keep: "deque[_Task]" = deque()
+            shed: List[_Task] = []
             for t in self._pending:
                 if t.deadline is not None and t.deadline.expired:
                     shed.append(t)
@@ -1015,8 +1035,13 @@ class WorkerPool:
                     keep.append(t)
             self._pending = keep
             self.stats.gauge("pool.queue_depth").set(len(self._pending))
-        # complete futures outside the lock (done-callbacks re-enter submit)
-        for t in shed:
+        self._shed(shed)
+
+    def _shed(self, tasks: List[_Task]) -> None:
+        """Fail expired tasks that never reached a worker.  Callers hold
+        no lock: done-callbacks may re-enter submit(), which takes
+        ``_lock``."""
+        for t in tasks:
             self.stats.counter("pool.deadline_sheds").inc()
             t.future.set_exception(
                 DeadlineExceeded(
@@ -1025,36 +1050,37 @@ class WorkerPool:
             )
 
     def _dispatch(self) -> None:
-        idle = [w for w in self._workers.values()
-                if w.ready and not w.stopping and w.inflight is None]
-        for w in idle:
-            task = None
-            shed: List[_Task] = []
-            with self._lock:
-                while self._pending:
+        """Hand queued tasks, oldest first, to idle ready workers.
+
+        Every submitter calls this, and so does the manager after each
+        round of messages (a ``done`` or ``ready`` frees a worker).  The
+        claim, the transport encode and the inbox put all happen under
+        ``_lock``: the manager never sees a claimed worker whose request
+        slots are not yet recorded on its task.  Cancelled tasks are
+        dropped and expired ones shed; neither reaches a worker."""
+        shed: List[_Task] = []
+        with self._lock:
+            for w in self._workers.values():
+                if not self._pending:
+                    break
+                if not w.ready or w.stopping or w.inflight is not None:
+                    continue
+                task = None
+                while self._pending and task is None:
                     candidate = self._pending.popleft()
                     if candidate.future.cancelled():
                         continue
                     if candidate.deadline is not None and candidate.deadline.expired:
                         shed.append(candidate)
-                        continue
-                    task = candidate
+                    else:
+                        task = candidate
+                if task is None:
                     break
-                self.stats.gauge("pool.queue_depth").set(len(self._pending))
-            # complete shed futures outside the lock: done-callbacks may
-            # re-enter submit(), which takes the same lock
-            for t in shed:
-                self.stats.counter("pool.deadline_sheds").inc()
-                t.future.set_exception(
-                    DeadlineExceeded(
-                        f"task {t.name!r} shed: deadline expired while queued"
-                    )
-                )
-            if task is None:
-                return
-            w.inflight = task
-            w.inq.put((task.task_id, task.name, self._encode_arg(task),
-                       task.trace is not None))
+                w.inflight = task
+                w.inq.put((task.task_id, task.name, self._encode_arg(task),
+                           task.trace is not None))
+            self.stats.gauge("pool.queue_depth").set(len(self._pending))
+        self._shed(shed)
 
     def _encode_arg(self, task: _Task):
         """Encode the dispatch payload through the transport (request
@@ -1089,10 +1115,10 @@ class WorkerPool:
             if any(w.inflight is not None for w in self._workers.values()):
                 return False
             self._wake_queued = True  # the manager exits: never wake again
-        for w in self._workers.values():
-            if not w.stopping:
-                w.stopping = True
-                w.inq.put(_STOP)
+            for w in self._workers.values():
+                if not w.stopping:
+                    w.stopping = True
+                    w.inq.put(_STOP)
         # give workers a moment to acknowledge; handles are joined by
         # shutdown() after the manager exits
         return True

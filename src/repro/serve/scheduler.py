@@ -21,6 +21,12 @@ The pool executes whatever it is given; the scheduler decides *what* and
 * **loss-free crashes** -- worker crash recovery lives in the pool; the
   scheduler adds completion accounting so every request's latency (queue
   wait included) lands in the metrics registry.
+
+The scheduler owns no thread.  A request is handed to the pool by
+whichever thread frees the way for it: :meth:`Scheduler.submit` when a
+slot is free, the completion callback of the request that held the slot
+(on the pool's manager thread), or the ``max_inflight`` setter when the
+cap rises.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from typing import Any, Dict, Optional
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
 
-from . import pool as _pool
 from .deadline import Deadline, DeadlineExceeded, earliest
 from .pool import PoolClosed, PoolFuture, WorkerPool
 from .stats import MetricsRegistry
@@ -63,7 +68,7 @@ class _Request:
 
 
 class Scheduler:
-    """Bounded, priority-aware, micro-batching dispatcher over a pool.
+    """Bounded, priority-aware, micro-batching admission over a pool.
 
     Parameters
     ----------
@@ -104,10 +109,8 @@ class Scheduler:
         self._lanes: Dict[str, "deque[_Request]"] = {p: deque() for p in PRIORITIES}
         self._inflight = 0
         self._closing = False
-        self._dispatcher = threading.Thread(
-            target=self._run, name="serve-scheduler", daemon=True
-        )
-        self._dispatcher.start()
+        # a thread is inside _pump(); see there
+        self._pumping = False
 
     # -- submission ---------------------------------------------------------
 
@@ -150,7 +153,7 @@ class Scheduler:
             self._lanes[priority].append(req)
             self.stats.counter("scheduler.submitted").inc()
             self.stats.gauge("scheduler.queue_depth").set(depth + 1)
-            self._cv.notify_all()
+        self._pump()
         return future
 
     @property
@@ -166,7 +169,7 @@ class Scheduler:
     def max_inflight(self, n: int) -> None:
         with self._cv:
             self._max_inflight = n
-            self._cv.notify_all()  # a raised cap frees slots right now
+        self._pump()  # a raised cap frees slots right now
 
     # -- shutdown -----------------------------------------------------------
 
@@ -176,10 +179,12 @@ class Scheduler:
         cancel_pending: bool = False,
         timeout: float = 30.0,
     ) -> None:
-        """Stop dispatching.  ``cancel_pending=True`` fails queued requests
-        with ``CancelledError``; otherwise they are drained first.  In
-        either case in-flight pool tasks run to completion and the call
-        returns (never deadlocks) within ``timeout``."""
+        """Stop accepting requests.  ``cancel_pending=True`` fails queued
+        requests with ``CancelledError``; otherwise every queued request
+        is handed to the pool at once, past the ``max_inflight`` cap.
+        ``wait=True`` also waits for in-flight requests to finish.  In
+        every case the call returns (never deadlocks) within
+        ``timeout``."""
         with self._cv:
             self._closing = True
             cancelled = []
@@ -187,17 +192,15 @@ class Scheduler:
                 for lane in self._lanes.values():
                     cancelled += list(lane)
                     lane.clear()
-            self._cv.notify_all()
         for req in cancelled:
             req.future.cancel()
-        self._dispatcher.join(timeout)
-        if wait:
-            deadline = time.perf_counter() + timeout
-            with self._cv:
-                self._cv.wait_for(
-                    lambda: self._inflight == 0,
-                    max(deadline - time.perf_counter(), 0.0),
-                )
+        self._pump()
+        with self._cv:
+            # another thread's pump may still be handing requests over
+            self._cv.wait_for(
+                lambda: not self._pumping and (not wait or self._inflight == 0),
+                timeout,
+            )
 
     def __enter__(self):
         return self
@@ -205,7 +208,7 @@ class Scheduler:
     def __exit__(self, *exc):
         self.shutdown(cancel_pending=any(exc))
 
-    # -- dispatcher ---------------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
 
     def _next_lane(self) -> Optional[str]:
         for p in PRIORITIES:  # interactive drains strictly first
@@ -213,44 +216,63 @@ class Scheduler:
                 return p
         return None
 
-    def _run(self) -> None:
-        while True:
-            batch = None
-            shed: list = []
-            with self._cv:
-                lane = self._next_lane()
-                while not (
-                    (lane is not None and self._inflight < self._max_inflight)
-                    or self._closing
-                ):
-                    # every state change notifies; the timeout is a backstop
-                    self._cv.wait(_pool.HOUSEKEEPING_TICK_S)
-                    lane = self._next_lane()
-                if lane is None:
-                    if self._closing:
+    def _pump(self) -> None:
+        """Hand queued requests to the pool from the calling thread until
+        no slot is free (closing lifts the cap) or the lanes are empty.
+
+        One thread pumps at a time.  A call that finds a pump running
+        returns at once and leaves its request to that pump, which looks
+        at the lanes again after every hand-off.  This covers the
+        re-entrant case too: a done-callback fired inside
+        ``pool.submit`` (a shed, a fast worker) lands back here, and the
+        outer loop dispatches on its behalf instead of recursing."""
+        with self._cv:
+            if self._pumping:
+                return
+            self._pumping = True
+        try:
+            while True:
+                shed: list = []
+                with self._cv:
+                    batch = self._take(shed)
+                    self._publish_depth()
+                    if batch is None and not shed:
+                        self._pumping = False
+                        self._cv.notify_all()
                         return
-                    continue
-                if self._inflight >= self._max_inflight and not self._closing:
-                    continue
-                head = self._lanes[lane].popleft()
-                if head.future.cancelled():
-                    self._publish_depth()
-                    continue
-                if head.deadline is not None and head.deadline.expired:
-                    shed.append(head)
-                    self._publish_depth()
-                else:
-                    batch = [head]
-                    if head.batchable:
-                        self._fill_batch(batch, lane, shed)
-                    self._publish_depth()
-                    self._inflight += 1
-            # fail shed requests outside _cv: their done-callbacks (retry
-            # machinery) may re-enter submit(), which takes the same lock
-            for req in shed:
-                self._shed(req)
-            if batch is not None:
-                self._dispatch(batch)
+                # fail shed requests outside _cv: their done-callbacks
+                # (retry machinery) may re-enter submit()
+                for req in shed:
+                    self._shed(req)
+                if batch is not None:
+                    self._dispatch(batch)
+        except BaseException:
+            with self._cv:
+                self._pumping = False
+                self._cv.notify_all()
+            raise
+
+    def _take(self, shed: list) -> Optional[list]:
+        """Pop the next dispatch -- a lane's head plus its batchable peers
+        -- and count it in flight (call under _cv).  Cancelled requests
+        are dropped and expired ones moved to ``shed`` on the way; None
+        when no slot is free or nothing is left to dispatch."""
+        while self._inflight < self._max_inflight or self._closing:
+            lane = self._next_lane()
+            if lane is None:
+                return None
+            head = self._lanes[lane].popleft()
+            if head.future.cancelled():
+                continue
+            if head.deadline is not None and head.deadline.expired:
+                shed.append(head)
+                continue
+            batch = [head]
+            if head.batchable:
+                self._fill_batch(batch, lane, shed)
+            self._inflight += 1
+            return batch
+        return None
 
     def _shed(self, req: _Request) -> None:
         self.stats.counter("scheduler.deadline_sheds").inc()
@@ -333,10 +355,18 @@ class Scheduler:
         )
         self.stats.counter("scheduler.completed").inc()
 
-    def _complete_one(self, inner: PoolFuture, req: _Request) -> None:
+    def _release_slot(self) -> None:
+        """A dispatch finished: its slot goes to the next queued request
+        before the finished request's own future completes."""
         with self._cv:
             self._inflight -= 1
             self._cv.notify_all()
+            queued = self._next_lane() is not None
+        if queued:
+            self._pump()
+
+    def _complete_one(self, inner: PoolFuture, req: _Request) -> None:
+        self._release_slot()
         exc = inner.exception()
         if exc is not None:
             req.future.set_exception(exc)
@@ -345,9 +375,7 @@ class Scheduler:
         self._finish(req)
 
     def _complete_batch(self, inner: PoolFuture, batch) -> None:
-        with self._cv:
-            self._inflight -= 1
-            self._cv.notify_all()
+        self._release_slot()
         exc = inner.exception()
         if exc is not None:
             for req in batch:

@@ -10,7 +10,7 @@ shape for service latency: cheap to record (one bisect per observation),
 mergeable, and quantile-estimable without keeping samples.
 
 Every primitive is **thread-safe**: the service mutates metrics from pool
-threads, the scheduler's dispatcher, and callers concurrently, so each
+threads, submitting threads, and callers concurrently, so each
 metric serializes its mutations behind its own lock (``value += n`` and
 the histogram's count/sum/bucket triple are not atomic in Python) and
 reads its summary under the same lock, making a snapshot internally

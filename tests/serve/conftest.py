@@ -31,7 +31,9 @@ def no_shm_leaks():
 
 @pytest.fixture
 def slow_tick(monkeypatch):
-    """Stretch the pool/scheduler housekeeping tick to 5 s.  Dispatch is
-    event-driven, so work must still flow in milliseconds; anything that
-    waits for the tick instead shows up as a multi-second stall."""
+    """Stretch the pool manager's housekeeping tick to 5 s (the scheduler
+    has no tick).  A submitter hands work straight to an idle worker and
+    worker messages wake the manager, so work must still flow in
+    milliseconds; anything that waits for the tick instead shows up as a
+    multi-second stall."""
     monkeypatch.setattr(pool_module, "HOUSEKEEPING_TICK_S", 5.0)

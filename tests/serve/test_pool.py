@@ -9,7 +9,11 @@ import pytest
 
 from repro.serve import PoolClosed, TaskError, WorkerCrash, WorkerPool
 from repro.serve import pool as pool_module
+from repro.serve.deadline import Deadline, DeadlineExceeded
 from repro.serve.pool import CancelledError, PoolFuture, register_task
+
+#: every backend/transport pairing the service runs on
+BACKENDS = [("thread", "pickle"), ("process", "pickle"), ("process", "shm")]
 
 # -- injectable tasks (registered at import time so fork workers see them) --
 
@@ -162,13 +166,11 @@ class TestThreadPool:
 
 
 class TestEventDrivenDispatch:
-    """Submissions, resizes and shutdown wake the manager: none of them
-    waits for the housekeeping tick (stretched to 5 s by ``slow_tick``)."""
+    """Submissions go straight to an idle worker; resizes and shutdown
+    wake the manager.  None of them waits for the housekeeping tick
+    (stretched to 5 s by ``slow_tick``)."""
 
-    @pytest.mark.parametrize(
-        "backend,transport",
-        [("thread", "pickle"), ("process", "pickle"), ("process", "shm")],
-    )
+    @pytest.mark.parametrize("backend,transport", BACKENDS)
     def test_round_trips_do_not_wait_for_the_tick(self, slow_tick, backend, transport):
         pool = WorkerPool(nworkers=1, backend=backend, transport=transport, warmup=False)
         try:
@@ -199,8 +201,10 @@ class TestEventDrivenDispatch:
 
     def test_wakes_coalesce_and_none_is_lost(self, slow_tick):
         """While the manager is busy (here: stuck in a done-callback),
-        any number of submissions queue exactly one wake, and every task
-        they queued still runs as soon as the manager is free."""
+        submissions still reach the idle worker or queue behind it, and
+        every queued task runs as soon as the manager is free.
+        Submissions queue no wake; resizes queue exactly one between
+        them."""
         with WorkerPool(nworkers=1, backend="thread", warmup=False) as pool:
             assert pool.wait_ready(10.0)
             in_callback, release = threading.Event(), threading.Event()
@@ -208,28 +212,40 @@ class TestEventDrivenDispatch:
             first.add_done_callback(lambda _f: (in_callback.set(), release.wait(10)))
             assert in_callback.wait(5.0)
             futures = [pool.submit("pool.echo", i) for i in range(10)]
+            # the first took the idle worker; the rest wait behind it
+            assert pool.queue_depth == 9
+            assert pool_module._WAKE not in list(pool._outq.queue)
+            for _ in range(3):
+                assert pool.resize(1)
             # one coalesced wake on the (thread backend's) result queue
-            assert list(pool._outq.queue) == [pool_module._WAKE]
+            assert list(pool._outq.queue).count(pool_module._WAKE) == 1
             t0 = time.perf_counter()
             release.set()
             assert [f.result(2.0) for f in futures] == list(range(10))
             assert time.perf_counter() - t0 < 2.0
 
-    def test_concurrent_submitters_lose_no_wake(self, slow_tick):
-        """Race the coalesced wake from 8 client threads doing back-to-back
-        round trips on 4 workers, with a tiny switch interval: a lost wake
-        strands a task until the 5 s tick, past its 4 s result timeout."""
+    @pytest.mark.parametrize("backend,transport", BACKENDS)
+    def test_concurrent_submitters_lose_no_wake(self, slow_tick, backend, transport):
+        """Race direct hand-offs from 8 client threads doing back-to-back
+        round trips on 4 workers, with a tiny switch interval: a task
+        stranded in the queue waits for the 5 s tick, past its 4 s result
+        timeout, and a task handed out twice or lost breaks the count."""
         prev = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with WorkerPool(nworkers=4, backend="thread", warmup=False) as pool:
-                assert pool.wait_ready(10.0)
-                errors = []
+            with WorkerPool(
+                nworkers=4, backend=backend, transport=transport, warmup=False
+            ) as pool:
+                assert pool.wait_ready(60.0)
+                errors, completions = [], []
 
                 def client(t):
                     try:
                         for i in range(50):
-                            assert pool.submit("pool.echo", (t, i)).result(4.0) == (t, i)
+                            payload = np.full(1024, t * 1000 + i, dtype=np.float32)
+                            got = pool.submit("pool.echo", payload).result(4.0)
+                            assert np.array_equal(got, payload)
+                            completions.append((t, i))
                     except BaseException as e:  # noqa: BLE001 - reported below
                         errors.append(e)
 
@@ -237,11 +253,60 @@ class TestEventDrivenDispatch:
                 for th in threads:
                     th.start()
                 for th in threads:
-                    th.join(30.0)
+                    th.join(60.0)
                 assert not any(th.is_alive() for th in threads)
                 assert errors == []
+                assert len(completions) == 8 * 50
+                assert pool.stats.counter("pool.tasks").value == len(completions)
         finally:
             sys.setswitchinterval(prev)
+
+
+class TestDirectHandOff:
+    """The submitting thread hands a task to an idle worker itself: no
+    message reaches the manager, and a task that must not run is stopped
+    before any worker sees it."""
+
+    @pytest.mark.parametrize("backend,transport", BACKENDS)
+    def test_idle_worker_gets_task_without_manager_message(
+        self, slow_tick, monkeypatch, backend, transport
+    ):
+        pool = WorkerPool(nworkers=1, backend=backend, transport=transport, warmup=False)
+        try:
+            assert pool.wait_ready(60.0)
+            sent = []
+            put = pool._outq.put
+            # parent-side puts only: process workers hold their own copy
+            # of the queue; thread workers' "done" messages land here too
+            monkeypatch.setattr(pool._outq, "put", lambda msg: (sent.append(msg[0]), put(msg)))
+            payload = np.arange(4096, dtype=np.float32)  # 16 KiB: shm-eligible
+            for _ in range(5):
+                assert np.array_equal(pool.submit("pool.echo", payload).result(2.0), payload)
+            assert "wake" not in sent
+            assert pool.stats.counter("pool.tasks").value == 5
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("backend,transport", BACKENDS)
+    def test_expired_task_is_shed_by_the_submitter(self, slow_tick, backend, transport):
+        pool = WorkerPool(nworkers=1, backend=backend, transport=transport, warmup=False)
+        try:
+            assert pool.wait_ready(60.0)
+            payload = np.arange(4096, dtype=np.float32)
+            fut = pool.submit(
+                "pool.echo", payload, deadline=Deadline(time.perf_counter() - 1.0)
+            )
+            # failed on the submitting thread, before submit returned
+            assert fut.done()
+            with pytest.raises(DeadlineExceeded):
+                fut.result(0)
+            assert pool.stats.counter("pool.deadline_sheds").value == 1
+            # nothing was encoded for a worker
+            assert pool.stats.counter("pool.transport.dispatch_pickled_bytes").value == 0
+            assert pool.stats.counter("pool.transport.dispatch_shm_bytes").value == 0
+            assert np.array_equal(pool.submit("pool.echo", payload).result(2.0), payload)
+        finally:
+            pool.shutdown()
 
 
 class TestCrashRecovery:

@@ -179,9 +179,30 @@ class TestBatching:
 
 
 class TestEventDriven:
-    """Nothing in the scheduler waits for the housekeeping tick (stretched
-    to 5 s by ``slow_tick``): not a lone batchable request, not a raised
-    ``max_inflight``."""
+    """The scheduler has no thread and no tick; nothing in it waits for
+    the pool's housekeeping tick (stretched to 5 s by ``slow_tick``): not
+    a lone batchable request, not a raised ``max_inflight``."""
+
+    @pytest.mark.parametrize(
+        "backend,transport",
+        [("thread", "pickle"), ("process", "pickle"), ("process", "shm")],
+    )
+    def test_constructing_a_scheduler_starts_no_thread(self, slow_tick, backend, transport):
+        pool = WorkerPool(nworkers=1, backend=backend, transport=transport, warmup=False)
+        try:
+            assert pool.wait_ready(60.0)
+            before = set(threading.enumerate())
+            sched = Scheduler(pool)
+            assert set(threading.enumerate()) == before
+            try:
+                t0 = time.perf_counter()
+                for i in range(10):
+                    assert sched.submit("pool.echo", i, nbytes=8).result(2.0) == i
+                assert time.perf_counter() - t0 < 2.0
+            finally:
+                sched.shutdown()
+        finally:
+            pool.shutdown()
 
     def test_lone_batchable_requests_dispatch_at_once(self, slow_tick, pool):
         sched = Scheduler(pool)
@@ -201,7 +222,7 @@ class TestEventDriven:
             assert pool.wait_ready(10.0)
             blocker = _occupy(pool, sched, seconds=3.0)
             queued = sched.submit("pool.echo", "next", batchable=False)
-            time.sleep(0.2)  # the dispatcher sees the full cap and waits again
+            time.sleep(0.2)  # the request sits queued behind the full cap
             sched.max_inflight = 2  # what the autoscaler does on scale-up
             assert queued.result(2.0) == "next"
             assert not blocker.done()  # the raised cap freed the slot
