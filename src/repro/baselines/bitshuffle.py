@@ -9,12 +9,15 @@ zero and can be removed with a bitmap -- that removal is FZ-GPU's
 
 Shuffle layout: input values are processed in groups of 32; group ``g``
 contributes 32 output words, where word ``b`` packs bit ``b`` of values
-``32g .. 32g+31`` (value ``32g+j`` at bit position ``j``).
+``32g .. 32g+31`` (value ``32g+j`` at bit position ``j``): the bit planes
+of :func:`repro.core.bitpack.pack_planes` with each read as a word.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core import bitpack
 
 GROUP = 32
 
@@ -32,20 +35,13 @@ def shuffle(values: np.ndarray) -> np.ndarray:
     multiple of 32."""
     values = _pad_to_group(np.ascontiguousarray(values, dtype=np.uint32))
     groups = values.reshape(-1, GROUP)  # (G, 32) values
-    bits = (groups[:, None, :] >> np.arange(GROUP, dtype=np.uint32)[None, :, None]) & np.uint32(1)
-    weights = (np.uint64(1) << np.arange(GROUP, dtype=np.uint64))
-    words = (bits.astype(np.uint64) * weights[None, None, :]).sum(axis=2)
-    return words.astype(np.uint32).reshape(-1)
+    return bitpack.pack_planes(groups, GROUP).view("<u4").reshape(-1)
 
 
 def unshuffle(words: np.ndarray, count: int) -> np.ndarray:
     """Invert :func:`shuffle`; returns the first ``count`` original values."""
-    words = np.ascontiguousarray(words, dtype=np.uint32).reshape(-1, GROUP)
-    bits = (words[:, :, None] >> np.arange(GROUP, dtype=np.uint32)[None, None, :]) & np.uint32(1)
-    weights = (np.uint64(1) << np.arange(GROUP, dtype=np.uint64))
-    # bits[g, b, j] is bit b of value j in group g.
-    values = (bits.astype(np.uint64) * weights[None, :, None]).sum(axis=1)
-    return values.astype(np.uint32).reshape(-1)[:count]
+    planes = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4 * GROUP)
+    return bitpack.unpack_planes(planes, GROUP, GROUP, np.uint32).reshape(-1)[:count]
 
 
 def zigzag(values: np.ndarray) -> np.ndarray:

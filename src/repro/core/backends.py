@@ -1,6 +1,6 @@
 """Kernel-backend registry: pluggable implementations of the codec hot path.
 
-The compressor resolves its quantize, predict/diff, FLE and bitpack kernels
+The compressor resolves its quantize, predict/diff and FLE kernels
 through this registry instead of importing the NumPy modules directly.  The
 existing vectorized NumPy implementations are the registered ``"numpy"``
 reference backend; ``"numba"`` fuses the per-chunk quantize -> diff ->
@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.obs import trace as obs_trace
 
-from . import bitpack, fle, kernels_fused, predictor
+from . import fle, kernels_fused, predictor
 from .errors import InvalidInputError, QuantizationOverflowError, StreamFormatError
 from .quantize import (
     MAX_QUANT_MAGNITUDE,
@@ -81,12 +81,6 @@ class KernelBackend:
 
     def fle_decode(self, offsets, payload, block):
         return fle.decode_blocks(offsets, payload, block)
-
-    def pack_signs(self, deltas):
-        return bitpack.pack_signs(deltas)
-
-    def pack_planes(self, mag, fl):
-        return bitpack.pack_planes(mag, fl)
 
     # -- the 1-D hot path (what the fused backends replace) ----------------
 

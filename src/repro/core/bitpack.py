@@ -8,11 +8,11 @@ bits of elements ``8j .. 8j+7``; element ``8j + k`` contributes bit ``k``
 tensor ops -- the software analogue of the paper's claim that FLE's
 regularity is what makes full vectorization possible (Section IV-B).
 
-Two observations make the conversions fast:
+Three observations make the conversions fast:
 
 * The LSB-first byte layout is exactly :func:`np.packbits` /
   :func:`np.unpackbits` with ``bitorder="little"``, which handle the 0/1
-  aggregations (sign bits) directly.
+  aggregations (sign bits) in one flat pass (``L`` is a multiple of 8).
 * Plane packing is, per little-endian magnitude byte ``b`` and per group
   of 8 elements, an 8x8 *bit-matrix transpose*: byte ``b`` of elements
   ``8j..8j+7`` in, planes ``8b..8b+7`` of group ``j`` out.  Viewing each
@@ -22,6 +22,8 @@ Two observations make the conversions fast:
   than the uint8 plane slabs themselves.  Fixed lengths that are
   multiples of 8 are fully byte-aligned and skip the partial-top-byte
   trimming.
+* Magnitude byte ``b`` enters as one contiguous ``(mag >> 8b)`` narrowed
+  to uint8 and leaves as one widening OR: no strided byte image.
 
 All functions operate on whole groups of blocks at once: shape
 ``(g, L)`` magnitudes -> shape ``(g, fl * L // 8)`` payload bytes.
@@ -69,13 +71,15 @@ def pack_signs(deltas: np.ndarray) -> np.ndarray:
     """Aggregate sign bits of ``(g, L)`` signed deltas into ``(g, L//8)``
     bytes.  Bit value 1 marks a negative integer (paper's convention is one
     bit per integer; the polarity is internal to the stream format)."""
-    return pack_bits(deltas < 0)
+    g, length = deltas.shape
+    return pack_bits((deltas < 0).reshape(-1)).reshape(g, length // 8)
 
 
 def unpack_signs(sign_bytes: np.ndarray, length: int) -> np.ndarray:
     """Recover the ``(g, L)`` boolean negativity mask."""
     # unpackbits yields 0/1 uint8, which reinterprets as bool for free
-    return unpack_bits(sign_bytes, length).view(np.bool_)
+    flat = unpack_bits(sign_bytes.reshape(-1), 8 * sign_bytes.size)
+    return flat.view(np.bool_).reshape(sign_bytes.shape[0], length)
 
 
 def _transpose8(tiles: np.ndarray) -> np.ndarray:
@@ -90,30 +94,15 @@ def _transpose8(tiles: np.ndarray) -> np.ndarray:
     return x ^ t ^ (t << _T8_S3)
 
 
-def _byte_image(mag: np.ndarray) -> np.ndarray:
-    """``(g, L)`` magnitudes as their ``(g, L, 4)`` little-endian byte
-    image.  int32/uint32 input reinterprets in place (magnitudes are
-    non-negative, so the int32 bit pattern is the uint32 one); wider
-    integers are narrowed (all magnitudes fit 31 bits)."""
-    g, length = mag.shape
-    if mag.dtype in (np.int32, np.uint32) and mag.flags.c_contiguous:
-        u4 = mag
-    else:
-        u4 = mag.astype("<u4")
-    return u4.view(np.uint8).reshape(g, length, 4)
-
-
 def pack_planes(mag: np.ndarray, fl: int) -> np.ndarray:
     """Encode bit-planes ``0 .. fl-1`` of ``(g, L)`` magnitudes as
     ``(g, fl * L // 8)`` bytes, LSB plane first (higher bits are ignored)."""
     g, length = mag.shape
     if fl == 0:
         return np.empty((g, 0), dtype=np.uint8)
-    nb = (fl + 7) // 8
-    image = _byte_image(mag)
     out = np.empty((g, fl, length // 8), dtype=np.uint8)
-    for b in range(nb):
-        slab = np.ascontiguousarray(image[:, :, b])  # byte b of every element
+    for b in range((fl + 7) // 8):
+        slab = (mag >> (8 * b)).astype(np.uint8)  # byte b of every element
         tiles = slab.reshape(g, length // 8, 8).view("<u8")[..., 0]
         planes = _transpose8(tiles).view(np.uint8).reshape(g, length // 8, 8)
         hi = min(8, fl - 8 * b)  # byte-aligned fl keeps all 8 planes
@@ -130,10 +119,8 @@ def unpack_planes(
     g = payload.shape[0]
     if fl == 0:
         return np.zeros((g, length), dtype=dtype)
-    nb = (fl + 7) // 8
     planes = payload.reshape(g, fl, length // 8)
-    image = np.zeros((g, length, 4), dtype=np.uint8)
-    for b in range(nb):
+    for b in range((fl + 7) // 8):
         hi = min(8, fl - 8 * b)
         if hi == 8:  # byte-aligned: every plane of this slab is present
             tilebytes = np.ascontiguousarray(
@@ -143,10 +130,12 @@ def unpack_planes(
             tilebytes = np.zeros((g, length // 8, 8), dtype=np.uint8)
             tilebytes[:, :, :hi] = planes[:, 8 * b :, :].transpose(0, 2, 1)
         tiles = tilebytes.reshape(g, length).view("<u8")
-        image[:, :, b] = _transpose8(tiles).view(np.uint8).reshape(g, length)
-    mag32 = image.reshape(g, 4 * length).view("<i4")
-    # magnitudes are < 2**31, so the int32 view is already exact
-    return mag32 if dtype == np.int32 else mag32.astype(dtype)
+        slab = _transpose8(tiles).view(np.uint8).reshape(g, length)
+        if b == 0:
+            mag = slab.astype(dtype)
+        else:
+            mag |= slab.astype(dtype) << (8 * b)
+    return mag
 
 
 def apply_signs(mag: np.ndarray, negative: np.ndarray) -> np.ndarray:

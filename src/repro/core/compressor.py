@@ -297,8 +297,7 @@ def decompress(
         )
     chunk_blocks = validate_chunk_blocks(chunk_blocks)
     backend = kernel_backends.resolve_backend(kernel_backend)
-    if not isinstance(buf, np.ndarray):
-        buf = np.frombuffer(bytes(buf), dtype=np.uint8)
+    buf = stream.as_stream_bytes(buf)
     with obs_trace.maybe_span("codec.decompress", bytes_in=int(buf.size)) as root:
         if integrity != "skip":
             from .errors import IntegrityError

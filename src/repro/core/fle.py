@@ -28,6 +28,10 @@ paper's prefix-sum concatenation and yields the payload exactly; decoding
 scatters the payload back into zeroed rows through the same table.  There
 is no loop over block signatures: the only Python-level loops are over
 tiles and over the (at most four) magnitude bytes.
+
+Per-block reductions are flat passes, not ``axis=1`` row scans: row maxima
+are a ``bitwise_or.reduceat`` (OR has the bit length of max) and payload
+sizes a gather from the layout table.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from . import bitpack, blockfmt
 from .errors import QuantizationOverflowError, StreamFormatError
 from .quantize import MAX_QUANT_MAGNITUDE
 
-#: Blocks per tile: keeps a tile's rows, magnitudes and byte image
+#: Blocks per tile: keeps a tile's rows, magnitudes and plane slabs
 #: cache-sized on large fields.
 TILE_BLOCKS = 1 << 14
 
@@ -115,8 +119,8 @@ def _unpack_rows(rows, outlier_sel, fl, block: int, dtype) -> np.ndarray:
     mag = bitpack.unpack_planes(rows[:, base : base + hi * sign_bytes], hi, block, dtype)
     for b, sel, hi, cols in _slabs(fl, fl_max, base, sign_bytes):
         mag[sel] |= bitpack.unpack_planes(rows[sel, cols], hi, block, dtype) << (8 * b)
-    outlier = np.ascontiguousarray(rows[outlier_sel, sign_bytes:base]).view("<u4")[:, 0]
-    mag[outlier_sel, 0] = outlier.astype(dtype)
+    outlier = np.ascontiguousarray(rows[:, sign_bytes:base]).view("<u4")[:, 0]
+    mag[:, 0] = np.where(outlier_sel, outlier, mag[:, 0])
     return bitpack.apply_signs(mag, bitpack.unpack_signs(rows[:, :sign_bytes], block))
 
 
@@ -129,28 +133,31 @@ def encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarray, n
     """
     nblocks, L = dblocks.shape
     mag = np.abs(dblocks)
+    heads = np.arange(0, mag.size, L)
 
     if use_outlier:
-        # one pass over the magnitudes yields every reduction we need: the
-        # residual row max (excluding the outlier column), the plain row
-        # max (its elementwise max with column 0) and the global check
-        rest_max = mag[:, 1:].max(axis=1)
-        row_max = np.maximum(rest_max, mag[:, 0])
-        _check_row_max(row_max)
-        fl_plain = bitpack.bit_length(row_max).astype(np.int64)
-        fl_rest = bitpack.bit_length(rest_max).astype(np.int64)
+        # one flat OR-reduction per block over the magnitudes with column 0
+        # zeroed gives the residual bit length; OR-ing the outlier back in
+        # gives the plain one and the global check
         omag = mag[:, 0].astype(np.int64)
+        mag[:, 0] = 0
+        rest_or = np.bitwise_or.reduceat(mag.reshape(-1), heads)
+        row_or = rest_or | omag
+        _check_row_max(row_or)
+        fl_plain = bitpack.bit_length(row_or).astype(np.int64)
+        fl_rest = bitpack.bit_length(rest_or).astype(np.int64)
         onb = blockfmt.outlier_byte_count(omag)
         sign_bytes = L // 8
         cost_plain = np.where(fl_plain == 0, 0, sign_bytes * (1 + fl_plain))
         cost_outlier = sign_bytes + onb + fl_rest * sign_bytes
         mode = (cost_outlier < cost_plain).astype(np.uint8)
-        # Outlier-FLE blocks' planes carry only the residual magnitudes
-        mag[mode == blockfmt.MODE_OUTLIER, 0] = 0
+        # Outlier-FLE blocks' planes carry only the residual magnitudes;
+        # Plain-FLE blocks get their first magnitude back
+        mag[:, 0] = np.where(mode == blockfmt.MODE_OUTLIER, 0, omag)
     else:
-        row_max = mag.max(axis=1)
-        _check_row_max(row_max)
-        fl_plain = bitpack.bit_length(row_max).astype(np.int64)
+        row_or = np.bitwise_or.reduceat(mag.reshape(-1), heads)
+        _check_row_max(row_or)
+        fl_plain = bitpack.bit_length(row_or).astype(np.int64)
         omag = np.zeros(nblocks, dtype=np.int64)
         onb = np.zeros(nblocks, dtype=np.int64)
         fl_rest = fl_plain  # unused
@@ -159,13 +166,14 @@ def encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarray, n
     fl = np.where(mode == blockfmt.MODE_OUTLIER, fl_rest, fl_plain)
     offsets = blockfmt.encode_offset_bytes(mode, np.maximum(onb, 1), fl)
     keep, _ = layout(L)
+    signs = bitpack.pack_signs(dblocks)
     parts = []
     for lo in range(0, nblocks, TILE_BLOCKS):
         # offset byte 0 is exactly the all-zero Plain block: no payload
         nz = lo + np.flatnonzero(offsets[lo : lo + TILE_BLOCKS])
         if nz.size:
             rows = _pack_rows(
-                bitpack.pack_signs(np.take(dblocks, nz, axis=0)),
+                np.take(signs, nz, axis=0),
                 np.take(mag, nz, axis=0), omag[nz], fl[nz], L,
             )
             parts.append(rows[np.take(keep[:, : rows.shape[1]], offsets[nz], axis=0)])
@@ -221,6 +229,6 @@ def decode_blocks(offsets: np.ndarray, payload: np.ndarray, block: int) -> np.nd
 
 def block_payload_sizes(offsets: np.ndarray, block: int) -> np.ndarray:
     """Payload size per block from offset bytes alone (used by the global
-    prefix-sum step and by random access)."""
-    mode, onb, fl = blockfmt.decode_offset_bytes(offsets)
-    return blockfmt.payload_sizes(mode, onb, fl, block)
+    prefix-sum step and by random access): one gather from the layout
+    table's size column."""
+    return layout(block)[1][offsets.astype(np.uint8, copy=False)]

@@ -119,11 +119,11 @@ def verify(buf) -> CorruptionReport:
     """Verify every checksum of a stream without decoding its payload.
 
     Raises :class:`StreamFormatError` when the buffer cannot even be laid
-    out (bad magic, unknown version, truncation before the offset section);
+    out (not 1-D uint8 bytes, bad magic, unknown version, truncation before
+    the offset section);
     otherwise always returns a report, corrupt or not.
     """
-    if not isinstance(buf, np.ndarray):
-        buf = np.frombuffer(bytes(buf), dtype=np.uint8)
+    buf = stream_mod.as_stream_bytes(buf)
     header = stream_mod.StreamHeader.unpack(buf)
     if header.version == stream_mod.V1:
         return _clean_report(header)
@@ -206,8 +206,7 @@ def recover(
     :class:`StreamFormatError` for non-v2 streams with no checksums to
     recover by.
     """
-    if not isinstance(buf, np.ndarray):
-        buf = np.frombuffer(bytes(buf), dtype=np.uint8)
+    buf = stream_mod.as_stream_bytes(buf)
     report = verify(buf)
     if not report.has_checksums:
         # v1: nothing to verify against; decode as-is.

@@ -12,7 +12,8 @@ downstream fixed-length encoding.
 
 Every function is fully vectorized over blocks per the repo's HPC style:
 the per-block recurrence in decoding is a cumulative sum, not a Python
-loop.
+loop.  The 1-D pair runs each direction as one contiguous pass over the
+flat array, not a scan along every short row.
 """
 
 from __future__ import annotations
@@ -39,21 +40,37 @@ def blockize_1d(q: np.ndarray, block: int) -> np.ndarray:
 
 def diff_1d(qblocks: np.ndarray) -> np.ndarray:
     """First-order difference within each row; ``d[:, 0]`` keeps the raw
-    quant value (difference against an implicit zero).  Written as one
-    subtract into a preallocated result -- ``np.diff(..., prepend=...)``
-    would concatenate a full padded copy first."""
-    d = np.empty_like(qblocks)
+    quant value (difference against an implicit zero).  One flat subtract,
+    then column 0 is overwritten with the block heads (the cross-block
+    differences it replaces are never read, so their wraparound is
+    harmless)."""
+    d = np.empty(qblocks.shape, dtype=qblocks.dtype)
+    q = qblocks.reshape(-1)
+    np.subtract(q[1:], q[:-1], out=d.reshape(-1)[1:])
     d[:, 0] = qblocks[:, 0]
-    np.subtract(qblocks[:, 1:], qblocks[:, :-1], out=d[:, 1:])
     return d
 
 
 def undiff_1d(dblocks: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Invert :func:`diff_1d` (prefix sum along each row).  ``out`` lets
-    callers accumulate straight into a preallocated result (accumulation
-    happens in ``out``'s dtype, so an int64 ``out`` is overflow-proof even
-    for int32 deltas)."""
-    return np.cumsum(dblocks, axis=1, out=out)
+    """Invert :func:`diff_1d` (prefix sum along each row) into ``out``: a
+    C-contiguous array, possibly wider than the deltas (int64 for int32
+    deltas), or a new one of their dtype when ``None``.  One flat running
+    total in the unsigned view of ``out``, where wraparound is defined;
+    each block then subtracts the total before it, which leaves its own
+    prefix sums exact whenever they fit (as
+    :func:`repro.core.fle.delta_dtype` proves for every decoded stream)."""
+    if out is None:
+        out = np.empty(dblocks.shape, dtype=dblocks.dtype)
+    elif not out.flags.c_contiguous:
+        raise ValueError("undiff_1d needs a C-contiguous out array")
+    nblocks, block = dblocks.shape
+    unsigned = np.dtype(f"u{out.dtype.itemsize}")
+    d = dblocks.astype(out.dtype, copy=False).reshape(-1).view(unsigned)
+    total = out.reshape(-1).view(unsigned)
+    np.cumsum(d, dtype=unsigned, out=total)
+    before = total[block - 1 : -1 : block].copy()
+    total.reshape(nblocks, block)[1:] -= before[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

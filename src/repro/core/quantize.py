@@ -103,7 +103,7 @@ def validate_input(data: np.ndarray, *, return_minmax: bool = False):
     return flat
 
 
-#: Chunk size (elements) for the streaming float<->int conversion loops.
+#: Chunk size (elements) for the streaming float->int conversion loop.
 #: Sized so the float64 scratch (8 MiB) stays resident in last-level cache
 #: while the loop touches each input/output element exactly once.
 _CONVERT_CHUNK = 1 << 20
@@ -222,21 +222,13 @@ def quantize(
 def dequantize(q: np.ndarray, eb_abs: float, dtype: np.dtype) -> np.ndarray:
     """Reconstruct floats from quantization integers.
 
-    The multiply is performed in float64 (then cast once to the target
-    dtype, both correctly rounded) chunk by chunk, so the float64
-    intermediate lives in cache instead of being a second full-size array.
+    One multiply computed in float64 and cast once to the target dtype
+    (both correctly rounded) as it is stored; the ufunc's own buffering
+    keeps the float64 products in cache, so there is no scratch array.
     """
-    n = q.shape[0] if q.ndim == 1 else q.size
-    flat = q.reshape(-1)
-    out = np.empty(n, dtype=dtype)
-    scratch = np.empty(min(n, _CONVERT_CHUNK), dtype=np.float64)
-    step = 2.0 * eb_abs
-    for a in range(0, n, _CONVERT_CHUNK):
-        b = min(a + _CONVERT_CHUNK, n)
-        s = scratch[: b - a]
-        np.multiply(flat[a:b], step, out=s, dtype=np.float64)
-        out[a:b] = s
-    return out.reshape(q.shape)
+    out = np.empty(q.shape, dtype=dtype)
+    np.multiply(q, 2.0 * eb_abs, dtype=np.float64, out=out, casting="unsafe")
+    return out
 
 
 def max_quantized_error(original: np.ndarray, reconstructed: np.ndarray) -> float:

@@ -54,8 +54,7 @@ class RandomAccessor:
             raise RandomAccessError(
                 f"on_corruption must be 'raise' or 'recover', got {on_corruption!r}"
             )
-        if not isinstance(buf, np.ndarray):
-            buf = np.frombuffer(bytes(buf), dtype=np.uint8)
+        buf = stream.as_stream_bytes(buf)
         self._raw = buf
         self._fill_value = fill_value
         self.header, self._section, self._offsets, self._payload = stream.split_ex(buf)

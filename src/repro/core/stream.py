@@ -212,12 +212,9 @@ def group_payload_lengths(
     """Payload bytes per checksum group, derived from the offset bytes."""
     from . import fle  # local import: fle does not import stream
 
-    sizes = fle.block_payload_sizes(offsets, block).astype(np.int64)
-    ngroups = _group_geometry(offsets.size, group_blocks)
-    out = np.zeros(ngroups, dtype=np.int64)
-    for g in range(ngroups):
-        out[g] = int(sizes[g * group_blocks : (g + 1) * group_blocks].sum())
-    return out
+    _group_geometry(offsets.size, group_blocks)  # validates group_blocks
+    sizes = fle.block_payload_sizes(offsets, block)
+    return np.add.reduceat(sizes, np.arange(0, sizes.size, group_blocks))
 
 
 def build_integrity_section(
@@ -350,6 +347,20 @@ def assemble(
         return np.concatenate([head, toc, offsets, payload])
 
 
+def as_stream_bytes(buf) -> np.ndarray:
+    """``buf`` as the 1-D uint8 array every stream reader parses: bytes-like
+    input as a uint8 array of its bytes, a 1-D uint8 ndarray as it is, and
+    any other ndarray rejected with :class:`StreamFormatError`."""
+    if not isinstance(buf, np.ndarray):
+        return np.frombuffer(bytes(buf), dtype=np.uint8)
+    if buf.dtype != np.uint8 or buf.ndim != 1:
+        raise StreamFormatError(
+            f"stream must be a 1-D uint8 array, got dtype {buf.dtype} "
+            f"with shape {buf.shape}"
+        )
+    return buf
+
+
 def split_ex(
     buf,
 ) -> Tuple[StreamHeader, Optional[IntegritySection], np.ndarray, np.ndarray]:
@@ -359,10 +370,7 @@ def split_ex(
     parsing only; checksum *verification* lives in
     :mod:`repro.core.integrity`.
     """
-    if isinstance(buf, (bytes, bytearray, memoryview)):
-        buf = np.frombuffer(buf, dtype=np.uint8)
-    if buf.dtype != np.uint8:
-        raise StreamFormatError(f"stream must be uint8 bytes, got dtype {buf.dtype}")
+    buf = as_stream_bytes(buf)
     header = StreamHeader.unpack(buf)
     nblocks = header.nblocks
     section = None

@@ -30,8 +30,7 @@ class TileAccessor:
                 f"verify_integrity must be 'auto', 'verify' or 'skip', "
                 f"got {verify_integrity!r}"
             )
-        if not isinstance(buf, np.ndarray):
-            buf = np.frombuffer(bytes(buf), dtype=np.uint8)
+        buf = stream.as_stream_bytes(buf)
         self.header, self._offsets, self._payload = stream.split(buf)
         self.report = None
         if verify_integrity != "skip":

@@ -47,7 +47,7 @@ def verify(original: np.ndarray, stream) -> VerificationReport:
     """
     from ..metrics import max_abs_error, psnr
 
-    buf = stream if isinstance(stream, np.ndarray) else np.frombuffer(bytes(stream), dtype=np.uint8)
+    buf = stream_mod.as_stream_bytes(stream)
     header, _, _ = stream_mod.split(buf)
     recon = decompress(buf)
 

@@ -7,10 +7,47 @@ from repro.baselines import FZGPU, FZGPULaunchError
 from repro.baselines import bitshuffle
 from repro.core.quantize import ErrorBound
 
-from tests.helpers import assert_error_bounded, value_range
+from tests.helpers import assert_error_bounded, seeded_rng, value_range
+
+# ---------------------------------------------------------------------------
+# Reference: the multiply-and-sum bit transpose bitshuffle used before it
+# moved onto repro.core.bitpack's plane packing (verbatim).
+# ---------------------------------------------------------------------------
+
+
+def _ref_shuffle(values: np.ndarray) -> np.ndarray:
+    values = bitshuffle._pad_to_group(np.ascontiguousarray(values, dtype=np.uint32))
+    groups = values.reshape(-1, bitshuffle.GROUP)  # (G, 32) values
+    bits = (groups[:, None, :] >> np.arange(bitshuffle.GROUP, dtype=np.uint32)[None, :, None]) & np.uint32(1)
+    weights = (np.uint64(1) << np.arange(bitshuffle.GROUP, dtype=np.uint64))
+    words = (bits.astype(np.uint64) * weights[None, None, :]).sum(axis=2)
+    return words.astype(np.uint32).reshape(-1)
+
+
+def _ref_unshuffle(words: np.ndarray, count: int) -> np.ndarray:
+    words = np.ascontiguousarray(words, dtype=np.uint32).reshape(-1, bitshuffle.GROUP)
+    bits = (words[:, :, None] >> np.arange(bitshuffle.GROUP, dtype=np.uint32)[None, None, :]) & np.uint32(1)
+    weights = (np.uint64(1) << np.arange(bitshuffle.GROUP, dtype=np.uint64))
+    # bits[g, b, j] is bit b of value j in group g.
+    values = (bits.astype(np.uint64) * weights[None, :, None]).sum(axis=1)
+    return values.astype(np.uint32).reshape(-1)[:count]
 
 
 class TestBitshuffle:
+    @pytest.mark.parametrize("n", [32, 37, 1000, 131072])
+    def test_matches_multiply_and_sum_reference(self, n):
+        v = seeded_rng("bitshuffle-ref", n).integers(0, 2**32, size=n, dtype=np.uint64)
+        v = v.astype(np.uint32)
+        v[::3] |= np.uint32(1 << 31)  # the top bit of the word
+        words = bitshuffle.shuffle(v)
+        ref = _ref_shuffle(v)
+        assert words.dtype == ref.dtype == np.uint32
+        np.testing.assert_array_equal(words, ref)
+        back = bitshuffle.unshuffle(words, n)
+        assert back.dtype == np.uint32
+        np.testing.assert_array_equal(back, _ref_unshuffle(ref, n))
+        np.testing.assert_array_equal(back, v)
+
     def test_round_trip(self, rng):
         v = rng.integers(0, 2**32, size=1000, dtype=np.int64).astype(np.uint32)
         assert np.array_equal(bitshuffle.unshuffle(bitshuffle.shuffle(v), 1000), v)

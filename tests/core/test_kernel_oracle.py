@@ -1,11 +1,13 @@
 """Bit-for-bit oracle for the vectorized bit-plane and FLE kernels.
 
 The payload-assembly hot path was rewritten from multiply-and-sum loops to
-``np.packbits``/``np.unpackbits`` and an 8x8 bit-matrix transpose, and FLE
-from a loop over block signatures to one pass through a layout table.
-Each rewrite must be invisible in the stream: these tests pin the new
-kernels against the original reference implementations (embedded verbatim
-below), over handcrafted extremes and over every fuzz generator family.
+``np.packbits``/``np.unpackbits`` and an 8x8 bit-matrix transpose, FLE
+from a loop over block signatures to one pass through a layout table, and
+every per-block max, difference, sign pack and prefix sum from a scan
+along short rows to one contiguous pass over the flat array.  Each rewrite
+must be invisible in the stream: these tests pin the new kernels against
+the original reference implementations (embedded verbatim below), over
+handcrafted extremes and over every fuzz generator family.
 """
 
 from typing import Tuple
@@ -17,7 +19,7 @@ from repro.core import bitpack, blockfmt, compress, decompress, fle, predictor
 from repro.core.backends import available_backends, registered_backends
 from repro.core.errors import QuantizationOverflowError, StreamFormatError
 from repro.core.fle import delta_dtype
-from repro.core.quantize import MAX_QUANT_MAGNITUDE, quantize
+from repro.core.quantize import _CONVERT_CHUNK, MAX_QUANT_MAGNITUDE, dequantize, quantize
 from repro.qa.generators import FAMILIES, draw_case
 from tests.helpers import fle_signature_blocks, seeded_rng
 
@@ -55,6 +57,100 @@ def _ref_unpack_planes(payload, fl, length):
     bits = _ref_unpack_bits(payload.reshape(g, fl, length // 8), length)
     weights = np.int64(1) << np.arange(fl, dtype=np.int64)
     return np.tensordot(bits.astype(np.int64), weights, axes=([1], [0]))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-row kernels the flat scans replaced (verbatim; row
+# reductions and scans along ``axis=1``, strided byte-image gathers and a
+# float64 scratch array per dequantize chunk).
+# ---------------------------------------------------------------------------
+
+
+def _row_diff_1d(qblocks: np.ndarray) -> np.ndarray:
+    d = np.empty_like(qblocks)
+    d[:, 0] = qblocks[:, 0]
+    np.subtract(qblocks[:, 1:], qblocks[:, :-1], out=d[:, 1:])
+    return d
+
+
+def _row_undiff_1d(dblocks: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    return np.cumsum(dblocks, axis=1, out=out)
+
+
+def _row_pack_signs(deltas: np.ndarray) -> np.ndarray:
+    return bitpack.pack_bits(deltas < 0)
+
+
+def _row_unpack_signs(sign_bytes: np.ndarray, length: int) -> np.ndarray:
+    # unpackbits yields 0/1 uint8, which reinterprets as bool for free
+    return bitpack.unpack_bits(sign_bytes, length).view(np.bool_)
+
+
+def _row_byte_image(mag: np.ndarray) -> np.ndarray:
+    g, length = mag.shape
+    if mag.dtype in (np.int32, np.uint32) and mag.flags.c_contiguous:
+        u4 = mag
+    else:
+        u4 = mag.astype("<u4")
+    return u4.view(np.uint8).reshape(g, length, 4)
+
+
+def _row_pack_planes(mag: np.ndarray, fl: int) -> np.ndarray:
+    g, length = mag.shape
+    if fl == 0:
+        return np.empty((g, 0), dtype=np.uint8)
+    nb = (fl + 7) // 8
+    image = _row_byte_image(mag)
+    out = np.empty((g, fl, length // 8), dtype=np.uint8)
+    for b in range(nb):
+        slab = np.ascontiguousarray(image[:, :, b])  # byte b of every element
+        tiles = slab.reshape(g, length // 8, 8).view("<u8")[..., 0]
+        planes = bitpack._transpose8(tiles).view(np.uint8).reshape(g, length // 8, 8)
+        hi = min(8, fl - 8 * b)  # byte-aligned fl keeps all 8 planes
+        out[:, 8 * b : 8 * b + hi, :] = planes[:, :, :hi].transpose(0, 2, 1)
+    return out.reshape(g, fl * length // 8)
+
+
+def _row_unpack_planes(payload: np.ndarray, fl: int, length: int, dtype=np.int64) -> np.ndarray:
+    g = payload.shape[0]
+    if fl == 0:
+        return np.zeros((g, length), dtype=dtype)
+    nb = (fl + 7) // 8
+    planes = payload.reshape(g, fl, length // 8)
+    image = np.zeros((g, length, 4), dtype=np.uint8)
+    for b in range(nb):
+        hi = min(8, fl - 8 * b)
+        if hi == 8:  # byte-aligned: every plane of this slab is present
+            tilebytes = np.ascontiguousarray(
+                planes[:, 8 * b : 8 * b + 8, :].transpose(0, 2, 1)
+            )
+        else:
+            tilebytes = np.zeros((g, length // 8, 8), dtype=np.uint8)
+            tilebytes[:, :, :hi] = planes[:, 8 * b :, :].transpose(0, 2, 1)
+        tiles = tilebytes.reshape(g, length).view("<u8")
+        image[:, :, b] = bitpack._transpose8(tiles).view(np.uint8).reshape(g, length)
+    mag32 = image.reshape(g, 4 * length).view("<i4")
+    # magnitudes are < 2**31, so the int32 view is already exact
+    return mag32 if dtype == np.int32 else mag32.astype(dtype)
+
+
+def _row_dequantize(q: np.ndarray, eb_abs: float, dtype: np.dtype) -> np.ndarray:
+    n = q.shape[0] if q.ndim == 1 else q.size
+    flat = q.reshape(-1)
+    out = np.empty(n, dtype=dtype)
+    scratch = np.empty(min(n, _CONVERT_CHUNK), dtype=np.float64)
+    step = 2.0 * eb_abs
+    for a in range(0, n, _CONVERT_CHUNK):
+        b = min(a + _CONVERT_CHUNK, n)
+        s = scratch[: b - a]
+        np.multiply(flat[a:b], step, out=s, dtype=np.float64)
+        out[a:b] = s
+    return out.reshape(q.shape)
+
+
+def _row_block_payload_sizes(offsets: np.ndarray, block: int) -> np.ndarray:
+    mode, onb, fl = blockfmt.decode_offset_bytes(offsets)
+    return blockfmt.payload_sizes(mode, onb, fl, block)
 
 
 def _mag_blocks(data, eb_abs, block):
@@ -411,7 +507,7 @@ def _ref_encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarr
     # so the buffer needs no zero fill
     payload = np.empty(int(sizes.sum()), dtype=np.uint8)
 
-    signs_all = bitpack.pack_signs(dblocks)
+    signs_all = _row_pack_signs(dblocks)
 
     # --- plain groups, keyed by fixed length ------------------------------
     plain_sel = mode == blockfmt.MODE_PLAIN
@@ -421,7 +517,7 @@ def _ref_encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarr
         if f == 0:
             continue  # zero blocks carry no payload
         idx = np.flatnonzero(plain_sel & (fl == f))
-        rows = np.concatenate([signs_all[idx], bitpack.pack_planes(mag[idx], f)], axis=1)
+        rows = np.concatenate([signs_all[idx], _row_pack_planes(mag[idx], f)], axis=1)
         _scatter_rows(payload, starts[idx], rows)
 
     # --- outlier groups, keyed by (fixed length, outlier width) -----------
@@ -440,7 +536,7 @@ def _ref_encode_blocks(dblocks: np.ndarray, use_outlier: bool) -> Tuple[np.ndarr
                 mag_rest = mag[idx]
                 mag_rest[:, 0] = 0
                 rows = np.concatenate(
-                    [signs_all[idx], obytes, bitpack.pack_planes(mag_rest, f)], axis=1
+                    [signs_all[idx], obytes, _row_pack_planes(mag_rest, f)], axis=1
                 )
                 _scatter_rows(payload, starts[idx], rows)
 
@@ -474,13 +570,13 @@ def _ref_decode_blocks(offsets: np.ndarray, payload: np.ndarray, block: int) -> 
             continue  # zero blocks decode to all-zero deltas
         width = int(sizes[idx[0]])
         rows = _gather_rows(payload, starts[idx], width)
-        negative = bitpack.unpack_signs(rows[:, :sign_bytes], L)
+        negative = _row_unpack_signs(rows[:, :sign_bytes], L)
         if m == blockfmt.MODE_PLAIN:
-            mag = bitpack.unpack_planes(rows[:, sign_bytes:], f, L, dtype)
+            mag = _row_unpack_planes(rows[:, sign_bytes:], f, L, dtype)
         else:
             obytes = rows[:, sign_bytes : sign_bytes + k].astype(np.int64)
             omag = (obytes << (8 * np.arange(k, dtype=np.int64))[None, :]).sum(axis=1)
-            mag = bitpack.unpack_planes(rows[:, sign_bytes + k :], f, L, dtype)
+            mag = _row_unpack_planes(rows[:, sign_bytes + k :], f, L, dtype)
             mag[:, 0] = omag
         deltas[idx] = bitpack.apply_signs(mag, negative)
     return deltas
@@ -667,3 +763,172 @@ class TestFLEOracle:
                 lambda: _ref_decode_blocks(grown, pay, block),
             )
             assert isinstance(err, StreamFormatError)
+
+
+# ---------------------------------------------------------------------------
+# Flat scans: one contiguous pass per kernel against the per-row references
+# ---------------------------------------------------------------------------
+
+
+def _random_quant_blocks(rng, nblocks: int, block: int, dtype) -> np.ndarray:
+    """Quant codes whose width varies per block; int32 codes stay inside
+    the ``(2**31 - 1) // 2`` bound quantize guarantees for 1-D deltas."""
+    top = int(MAX_QUANT_MAGNITUDE) // 2 if dtype == np.int32 else 1 << 40
+    q = rng.integers(-top, top, size=(nblocks, block), dtype=np.int64)
+    return (q >> rng.integers(0, 40, size=(nblocks, 1))).astype(dtype)
+
+
+class TestFlatScanOracle:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("block", [8, 16, 32, 64, 128])
+    def test_random_blocks(self, block, dtype):
+        rng = seeded_rng("flat-scan", block, np.dtype(dtype).name)
+        for nblocks in (0, 1, 7, 300):
+            q = _random_quant_blocks(rng, nblocks, block, dtype)
+            d = predictor.diff_1d(q)
+            assert d.dtype == dtype
+            np.testing.assert_array_equal(d, _row_diff_1d(q))
+            back = predictor.undiff_1d(d)
+            assert back.dtype == dtype
+            np.testing.assert_array_equal(back, _row_undiff_1d(d))
+            np.testing.assert_array_equal(back, q)
+            wide = np.empty(d.shape, dtype=np.int64)  # int64 out for int32 deltas
+            assert predictor.undiff_1d(d, out=wide) is wide
+            np.testing.assert_array_equal(wide, q)
+
+            signs = bitpack.pack_signs(d)
+            np.testing.assert_array_equal(signs, _row_pack_signs(d))
+            np.testing.assert_array_equal(
+                bitpack.unpack_signs(signs, block), _row_unpack_signs(signs, block)
+            )
+            mag = np.abs(d)
+            if int(mag.max(initial=0)) > int(MAX_QUANT_MAGNITUDE):
+                continue  # int64 codes: no stream format for these deltas
+            fl = int(bitpack.bit_length(mag.max(initial=0)))
+            planes = bitpack.pack_planes(mag, fl)
+            np.testing.assert_array_equal(planes, _row_pack_planes(mag, fl))
+            for out_dtype in (np.int32, np.int64):
+                np.testing.assert_array_equal(
+                    bitpack.unpack_planes(planes, fl, block, out_dtype),
+                    _row_unpack_planes(planes, fl, block, out_dtype),
+                )
+            for use_outlier in (False, True):
+                _assert_fle_identical(d, use_outlier)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int32_running_total_wraps(self, sign):
+        # each block's own prefix sums stay below 2**30, but the flat total
+        # over all blocks passes 2**31 within two blocks
+        d = np.zeros((9, 32), dtype=np.int32)
+        d[:, 0] = sign * ((1 << 30) - 1)
+        d[:, 1::2] = sign * 3
+        d[:, 2::2] = -sign * 2
+        assert abs(int(d.astype(np.int64).sum())) > 1 << 32
+        got = predictor.undiff_1d(d)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, _row_undiff_1d(d))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int64_running_total_wraps(self, sign):
+        d = np.zeros((5, 16), dtype=np.int64)
+        d[:, 0] = sign * (1 << 62)
+        d[:, 3] = sign * ((1 << 61) + 12345)
+        got = predictor.undiff_1d(d)
+        np.testing.assert_array_equal(got, _row_undiff_1d(d))
+        assert got[-1, -1] == sign * ((1 << 62) + (1 << 61) + 12345)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("mode", ["plain", "outlier"])
+    def test_int32_stream_running_total_crosses(self, mode, sign):
+        # every block holds one quant code near 2**23: three-byte outliers,
+        # so the stream decodes in int32 while the flat running total of
+        # its deltas (the sum of the block heads) passes 2**31 in magnitude
+        rng = seeded_rng("flat-scan-stream", mode, sign + 1)
+        codes = sign * rng.integers((1 << 22), (1 << 23) - 1, size=600)
+        assert abs(int(codes.sum())) > 1 << 31
+        q = np.repeat(codes, 32).astype(np.float64)
+        q[5::32] += 1  # a residual plane per block
+        stream = compress(q, abs=0.5, mode=mode)
+        from repro.core import stream as stream_mod
+
+        header, offsets, _ = stream_mod.split(stream)
+        assert delta_dtype(offsets, header.block) == np.int32
+        np.testing.assert_array_equal(decompress(stream), q)
+
+    @pytest.mark.parametrize("use_outlier", [False, True])
+    def test_or_differs_from_max(self, use_outlier):
+        # OR of a row's magnitudes exceeds its max but keeps its bit length
+        d = np.zeros((4, 32), dtype=np.int64)
+        d[0, [0, 1]] = [5, -2]  # OR 7, max 5
+        d[1, [2, 3]] = [-4, 3]  # OR 7, max 4
+        d[2, [0, 9]] = [1 << 30, (1 << 30) - 1]  # OR 2**31 - 1, max 2**30
+        d[3, [0, 1, 2]] = [-(1 << 20), 1 << 5, -(1 << 12)]
+        mag = np.abs(d)
+        assert (np.bitwise_or.reduce(mag, axis=1) != mag.max(axis=1)).all()
+        for dtype in (np.int32, np.int64):
+            _assert_fle_identical(d.astype(dtype), use_outlier)
+
+    @pytest.mark.parametrize("column", [0, 5])
+    @pytest.mark.parametrize("use_outlier", [False, True])
+    def test_row_max_boundary(self, use_outlier, column):
+        for sign in (1, -1):
+            d = np.zeros((3, 32), dtype=np.int64)
+            d[1, column] = sign * int(MAX_QUANT_MAGNITUDE)
+            d[1, 7 - column] = 1
+            _assert_fle_identical(d, use_outlier)
+            d[1, column] = sign * (int(MAX_QUANT_MAGNITUDE) + 1)
+            err = _raises_alike(
+                lambda: fle.encode_blocks(d, use_outlier),
+                lambda: _ref_encode_blocks(d, use_outlier),
+            )
+            assert isinstance(err, QuantizationOverflowError)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_non_contiguous_inputs(self, dtype):
+        rng = seeded_rng("flat-scan-strided", np.dtype(dtype).name)
+        # narrowed so every block's prefix sums fit the dtype
+        base = _random_quant_blocks(rng, 40, 64, dtype) >> 8
+        views = {
+            "column stride": base[:, ::2],
+            "row stride": base[::2, :32],
+            "fortran": np.asfortranarray(base[:, :32]),
+        }
+        for name, q in views.items():
+            assert not q.flags.c_contiguous, name
+            np.testing.assert_array_equal(predictor.diff_1d(q), _row_diff_1d(q))
+            np.testing.assert_array_equal(predictor.undiff_1d(q), _row_undiff_1d(q))
+            np.testing.assert_array_equal(bitpack.pack_signs(q), _row_pack_signs(q))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            predictor.undiff_1d(base[:, :32], out=np.empty((32, 40), dtype).T)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dequantize(self, dtype):
+        rng = seeded_rng("flat-dequantize", np.dtype(dtype).name)
+        # step 1 + 2**-24 puts q * step exactly halfway between two float32
+        # neighbours whenever q is a power of two below 2**24
+        eb = (1.0 + 2.0**-24) / 2.0
+        pow2 = (1 << np.arange(24, dtype=np.int64)).astype(np.int64)
+        halfway = np.concatenate([pow2, -pow2, 3 * pow2[:20]])
+        exact = halfway.astype(np.float64) * (2.0 * eb)
+        assert (exact != exact.astype(np.float32)).all()
+        for q in (
+            halfway,
+            halfway.astype(np.int32),
+            rng.integers(-(1 << 40), 1 << 40, size=(17, 32)),
+            rng.integers(-(1 << 30), 1 << 30, size=_CONVERT_CHUNK + 5).astype(np.int32),
+        ):
+            for e in (eb, 0.37e-3):
+                got = dequantize(q, e, np.dtype(dtype))
+                ref = _row_dequantize(q, e, np.dtype(dtype))
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block", [8, 16, 32, 64, 128])
+    def test_block_payload_sizes_every_offset_byte(self, block):
+        every = np.arange(256, dtype=np.uint8)
+        offsets = seeded_rng("flat-sizes", block).permutation(np.repeat(every, 3))
+        for off in (every, offsets, offsets[::2]):
+            got = fle.block_payload_sizes(off, block)
+            ref = _row_block_payload_sizes(off, block)
+            assert got.dtype == ref.dtype == np.int64
+            np.testing.assert_array_equal(got, ref)

@@ -104,3 +104,57 @@ class TestAssembleSplit:
     def test_wrong_dtype_rejected(self):
         with pytest.raises(StreamFormatError):
             stream.split(np.zeros(100, dtype=np.float32))
+
+
+class TestMalformedBuffers:
+    """Every stream reader accepts bytes-like input or a 1-D uint8 array;
+    any other array raises StreamFormatError, never a struct/index error
+    or a clean report."""
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        from repro import compress
+
+        x = np.cumsum(np.random.default_rng(0).normal(size=4000)).astype(np.float32)
+        b = compress(x, rel=1e-3)
+        if b.size % 2:
+            b = np.concatenate([b, np.zeros(1, np.uint8)])  # trailing byte: ignored
+        return x, b
+
+    def _assert_rejected(self, call, buf):
+        with pytest.raises(StreamFormatError) as err:
+            call(buf)
+        assert str(buf.dtype) in str(err.value)
+        assert str(buf.shape) in str(err.value)
+
+    def test_decompress_uint16_view(self, blob):
+        from repro import decompress
+
+        self._assert_rejected(decompress, blob[1].view(np.uint16))
+
+    def test_decompress_row_vector(self, blob):
+        from repro import decompress
+
+        self._assert_rejected(decompress, blob[1].reshape(1, -1))
+
+    def test_decompress_column_vector(self, blob):
+        from repro import decompress
+
+        self._assert_rejected(decompress, blob[1].reshape(-1, 1))
+
+    def test_verify_int8_view(self, blob):
+        from repro.core import integrity
+
+        self._assert_rejected(integrity.verify, blob[1].view(np.int8))
+        self._assert_rejected(stream.split, blob[1].view(np.int8))
+
+    def test_non_contiguous_uint8_still_decodes(self, blob):
+        from repro import decompress
+
+        x, b = blob
+        strided = np.repeat(b, 2)[::2]
+        assert not strided.flags.c_contiguous
+        ref = decompress(b)
+        np.testing.assert_array_equal(decompress(strided), ref)
+        np.testing.assert_array_equal(decompress(b.tobytes()), ref)
+        np.testing.assert_array_equal(decompress(memoryview(b.tobytes())), ref)
