@@ -1,17 +1,11 @@
 """Core codec throughput benchmark (standalone, no pytest).
 
-Measures wall-clock compress/decompress throughput of every benchmarkable
-kernel backend over the full ``mode x dtype x predictor_ndim`` matrix on a
-64 MiB Miranda field, and writes ``benchmarks/results/BENCH_core.json``.
-The headline configuration (outlier mode, float32, 1-D predictor, numpy
-backend) is the one tracked against the recorded pre-vectorization
-baseline of 72 MiB/s compress / 60 MiB/s decompress.
-
-Backends come from the :mod:`repro.core.backends` registry.  The
-``fused-python`` backend is excluded (it is the byte-identity test vehicle
-for the fused kernels, ~1000x too slow to benchmark); ``numba`` is benched
-only where numba is installed, and its results are recorded under its own
-key so the regression gate only ever compares a backend against itself.
+Measures wall-clock compress/decompress throughput of the codec over the
+full ``mode x dtype x predictor_ndim`` matrix on a 64 MiB Miranda field,
+and writes ``benchmarks/results/BENCH_core.json``.  The headline
+configuration (outlier mode, float32, 1-D predictor) is the one tracked
+against the recorded pre-vectorization baseline of 72 MiB/s compress /
+60 MiB/s decompress.
 
 Usage::
 
@@ -21,13 +15,11 @@ Usage::
         --quick --check benchmarks/results/BENCH_core.json
 
 ``--quick`` shrinks the field to 4 MiB for CI smoke runs.  ``--check``
-compares the run's per-backend headline compress and decompress
-throughput against a previously committed results file (the quick run
-compares against that file's per-backend ``ci_reference`` section,
-measured with ``--quick`` on the same machine that produced the full
-numbers) and exits non-zero when either drops by more than 30%.  A
-backend absent from the reference (e.g. numba on a host where the
-committed file was recorded without it) is reported but never gated.
+compares the run's headline compress and decompress throughput against a
+previously committed results file (the quick run compares against that
+file's ``ci_reference`` section, measured with ``--quick`` on the same
+machine that produced the full numbers) and exits non-zero when either
+drops by more than 30%.
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import compress, decompress  # noqa: E402
-from repro.core.backends import available_backends  # noqa: E402
 from repro.datasets import get_dataset  # noqa: E402
 
 #: pre-rewrite kernel throughput on the 64 MiB float32 field (MiB/s)
@@ -61,14 +52,10 @@ QUICK_ELEMS = 1 << 20  # 1M float32 = 4 MiB
 
 HEADLINE = ("outlier", "float32", 1)
 
-#: Registered backends that are never benchmarked: the pure-Python fused
-#: kernels exist to keep the fused algorithm under byte-identity test on
-#: hosts without numba, not to move bytes.
-UNBENCHABLE = {"fused-python"}
-
-
-def bench_backends() -> list:
-    return [b for b in available_backends() if b not in UNBENCHABLE]
+#: The key the codec's one kernel path has in the results schema
+#: (``ci_reference``, ``headline_by_backend``), so reports and the committed
+#: BENCH_core.json compare.
+PATH = "numpy"
 
 
 def make_field(nelems: int) -> np.ndarray:
@@ -87,26 +74,21 @@ def shape_for(nelems: int, ndim: int):
     return tuple(1 << e for e in exps)
 
 
-def bench_one(
-    data: np.ndarray, mode: str, ndim: int, block: int, repeats: int,
-    backend: str = "numpy",
-) -> dict:
+def bench_one(data: np.ndarray, mode: str, ndim: int, block: int, repeats: int) -> dict:
     mib = data.nbytes / 2**20
-    kw = dict(rel=1e-3, mode=mode, predictor_ndim=ndim, block=block,
-              kernel_backend=backend)
-    buf = compress(data, **kw)  # warmup (includes any JIT compilation)
-    decompress(buf, kernel_backend=backend)
+    kw = dict(rel=1e-3, mode=mode, predictor_ndim=ndim, block=block)
+    buf = compress(data, **kw)  # warmup
+    decompress(buf)
     best_c = best_d = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         buf = compress(data, **kw)
         best_c = min(best_c, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        out = decompress(buf, kernel_backend=backend)
+        out = decompress(buf)
         best_d = min(best_d, time.perf_counter() - t0)
     assert out.nbytes == data.nbytes, "roundtrip size mismatch"
     return {
-        "kernel_backend": backend,
         "mode": mode,
         "dtype": str(data.dtype),
         "predictor_ndim": ndim,
@@ -118,7 +100,7 @@ def bench_one(
     }
 
 
-def run_matrix(nelems: int, repeats: int, backend: str = "numpy") -> list:
+def run_matrix(nelems: int, repeats: int) -> list:
     base = make_field(nelems)
     results = []
     for dtype in (np.float32, np.float64):
@@ -128,10 +110,10 @@ def run_matrix(nelems: int, repeats: int, backend: str = "numpy") -> list:
             data = field if ndim == 1 else field.reshape(shape_for(nelems, ndim))
             for mode in ("plain", "outlier"):
                 reps = repeats + 2 if (mode, str(np.dtype(dtype)), ndim) == HEADLINE else repeats
-                r = bench_one(data, mode, ndim, block, reps, backend)
+                r = bench_one(data, mode, ndim, block, reps)
                 results.append(r)
                 print(
-                    f"{backend:8s} {mode:8s} {r['dtype']:8s} ndim={ndim}  "
+                    f"{mode:8s} {r['dtype']:8s} ndim={ndim}  "
                     f"compress {r['compress_MiBps']:7.1f} MiB/s  "
                     f"decompress {r['decompress_MiBps']:7.1f} MiB/s  "
                     f"ratio {r['ratio']:.2f}"
@@ -139,70 +121,45 @@ def run_matrix(nelems: int, repeats: int, backend: str = "numpy") -> list:
     return results
 
 
-def headline_of(results: list, backend: str = "numpy") -> dict:
-    [h] = [
-        r
-        for r in results
-        if (r["mode"], r["dtype"], r["predictor_ndim"]) == HEADLINE
-        and r.get("kernel_backend", "numpy") == backend
-    ]
+def headline_of(results: list) -> dict:
+    [h] = [r for r in results if (r["mode"], r["dtype"], r["predictor_ndim"]) == HEADLINE]
     return h
 
 
-def _reference_headlines(ref: dict, quick: bool) -> dict:
-    """Per-backend reference headline rows from a committed results file.
-
-    Handles the pre-registry format (a flat ``ci_reference`` dict and
-    untagged result rows) by attributing everything to ``"numpy"``.
-    """
+def _reference_headline(ref: dict, quick: bool) -> dict:
+    """The headline row of a committed results file: ``ci_reference["numpy"]``
+    for a quick run (a flat pre-registry ``ci_reference`` is that row
+    itself), else the full-field headline result."""
     if quick:
         ci = ref.get("ci_reference") or {}
-        if "compress_MiBps" in ci:  # pre-registry flat format
-            return {"numpy": ci}
-        return {k: v for k, v in ci.items() if isinstance(v, dict)}
-    out = {}
-    for row in ref["results"]:
-        if (row["mode"], row["dtype"], row["predictor_ndim"]) == HEADLINE:
-            out[row.get("kernel_backend", "numpy")] = row
-    return out
+        return ci if "compress_MiBps" in ci else ci.get(PATH, {})
+    return headline_of(ref["results"])
 
 
 def check_regression(report: dict, baseline_path: str) -> int:
-    ref = json.loads(Path(baseline_path).read_text())
-    refs = _reference_headlines(ref, report["quick"])
+    ref_head = _reference_headline(json.loads(Path(baseline_path).read_text()), report["quick"])
+    head = report["headline_by_backend"][PATH]
     rc = 0
-    for backend, head in sorted(report["headline_by_backend"].items()):
-        ref_head = refs.get(backend)
-        if not ref_head:
-            # a backend with no same-backend reference is informational
-            # only: the gate never compares jit numbers against numpy ones
-            print(
-                f"{backend}: no committed reference for this backend; "
-                f"measured {head['compress_MiBps']:.1f} MiB/s compress, "
-                f"{head['decompress_MiBps']:.1f} MiB/s decompress (not gated)"
-            )
+    for metric in GATED:
+        direction = metric.split("_")[0]
+        got = head[metric]
+        if metric not in ref_head:
+            print(f"no committed {direction} reference; measured {got:.1f} MiB/s (not gated)")
             continue
-        for metric in GATED:
-            direction = metric.split("_")[0]
-            got = head[metric]
-            if metric not in ref_head:
-                print(f"{backend}: no committed {direction} reference; "
-                      f"measured {got:.1f} MiB/s (not gated)")
-                continue
-            floor = REGRESSION_FLOOR * ref_head[metric]
-            if got < floor:
-                print(
-                    f"REGRESSION [{backend}]: headline {direction} {got:.1f} MiB/s "
-                    f"is below {REGRESSION_FLOOR:.0%} of the committed baseline "
-                    f"{ref_head[metric]:.1f} MiB/s (floor {floor:.1f})"
-                )
-                rc = 1
-            else:
-                print(
-                    f"regression check OK [{backend}] {direction}: {got:.1f} MiB/s >= "
-                    f"{floor:.1f} MiB/s ({REGRESSION_FLOOR:.0%} of committed "
-                    f"{ref_head[metric]:.1f})"
-                )
+        floor = REGRESSION_FLOOR * ref_head[metric]
+        if got < floor:
+            print(
+                f"REGRESSION: headline {direction} {got:.1f} MiB/s "
+                f"is below {REGRESSION_FLOOR:.0%} of the committed baseline "
+                f"{ref_head[metric]:.1f} MiB/s (floor {floor:.1f})"
+            )
+            rc = 1
+        else:
+            print(
+                f"regression check OK {direction}: {got:.1f} MiB/s >= "
+                f"{floor:.1f} MiB/s ({REGRESSION_FLOOR:.0%} of committed "
+                f"{ref_head[metric]:.1f})"
+            )
     return rc
 
 
@@ -223,13 +180,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     nelems = QUICK_ELEMS if args.quick else FULL_ELEMS
-    backends = bench_backends()
-    if "numba" not in backends:
-        print("numba backend not available (numba not installed): numpy only")
-    results = []
-    for backend in backends:
-        results += run_matrix(nelems, args.repeats, backend)
-    head = headline_of(results, "numpy")
+    results = run_matrix(nelems, args.repeats)
+    head = headline_of(results)
     report = {
         "generated_by": "benchmarks/bench_core_throughput.py",
         "numpy": np.__version__,
@@ -237,10 +189,9 @@ def main(argv=None) -> int:
         "cpu_count": __import__("os").cpu_count(),
         "field": {"dataset": "Miranda", "elements": nelems},
         "repeats": args.repeats,
-        "kernel_backends": backends,
         "results": results,
         "headline": head,
-        "headline_by_backend": {b: headline_of(results, b) for b in backends},
+        "headline_by_backend": {PATH: head},
         "baseline": dict(
             BASELINE, note="pre-vectorization kernels, 64 MiB float32 Miranda field"
         ),
@@ -251,25 +202,18 @@ def main(argv=None) -> int:
             ),
         },
     }
-    if "numba" not in backends:
-        report["numba_note"] = (
-            "numba was not installed on the recording host, so no jit "
-            "reference exists; a numba-enabled multicore host records its "
-            "own ci_reference entry and is gated only against itself"
-        )
     if not args.quick:
         # quick-mode reference measured in the same run so CI smoke runs
-        # have an apples-to-apples, same-backend number to regress against
+        # have an apples-to-apples number to regress against
         print("-- ci reference (quick field) --")
-        report["ci_reference"] = {}
-        for backend in backends:
-            quick_results = run_matrix(QUICK_ELEMS, args.repeats, backend)
-            qh = headline_of(quick_results, backend)
-            report["ci_reference"][backend] = {
+        qh = headline_of(run_matrix(QUICK_ELEMS, args.repeats))
+        report["ci_reference"] = {
+            PATH: {
                 "elements": QUICK_ELEMS,
                 "compress_MiBps": qh["compress_MiBps"],
                 "decompress_MiBps": qh["decompress_MiBps"],
             }
+        }
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -39,13 +39,10 @@ def _parse_dims(text):
     return [int(x) for x in text.replace("x", ",").split(",") if x]
 
 
-#: Kept as a literal (not imported from repro.core.backends) so ``--help``
-#: works without importing numpy; tests pin it against the live registry.
-KERNEL_BACKENDS = ["auto", "numpy", "numba", "fused-python"]
-
 #: Compressor plugins (repro.codecs registry) plus the per-field
-#: auto-tuner.  Same literal-not-imported deal as KERNEL_BACKENDS; a test
-#: pins this list against the live registry.
+#: auto-tuner.  Kept as a literal (not imported from repro.codecs) so
+#: ``--help`` works without importing numpy; a test pins this list against
+#: the live registry.
 CODECS = ["auto", "cuszp2", "cuszp", "fzgpu", "cuzfp", "cusz", "cuszx", "mgard"]
 
 
@@ -59,16 +56,6 @@ def _parse_codec_opts(items) -> dict:
             raise SystemExit(f"--codec-opt expects name=value, got {item!r}")
         opts[key.strip()] = value.strip()
     return opts
-
-
-def _add_kernel_backend_arg(parser) -> None:
-    parser.add_argument(
-        "--kernel-backend", default="auto", choices=KERNEL_BACKENDS,
-        help="codec kernel implementation: the NumPy reference, the fused "
-        "numba JIT kernels, or their pure-Python twin; 'auto' honors "
-        "$REPRO_KERNEL_BACKEND then falls back to numpy (default auto). "
-        "Distinct from --backend, which picks the worker-pool flavor.",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +80,10 @@ def cmd_compress(args) -> int:
 
     t0 = time.perf_counter()
     if args.absolute:
-        stream = compress(data, abs=args.error_bound, mode=mode,
-                          kernel_backend=args.kernel_backend)
+        stream = compress(data, abs=args.error_bound, mode=mode)
         eb_abs = args.error_bound
     else:
-        stream = compress(data, rel=args.error_bound, mode=mode,
-                          kernel_backend=args.kernel_backend)
+        stream = compress(data, rel=args.error_bound, mode=mode)
         rng = float(data.max() - data.min())
         eb_abs = args.error_bound * (rng if rng else max(abs(float(data.max())), 1.0))
     wall = time.perf_counter() - t0
@@ -118,7 +103,7 @@ def cmd_compress(args) -> int:
     print(f"(functional codec wall time: {wall:.3f} s for {data.nbytes / 1e6:.1f} MB)")
     print(f"compressed stream written to {out_path}")
     print()
-    recon = decompress(stream, kernel_backend=args.kernel_backend)
+    recon = decompress(stream)
     if check_error_bound(data.reshape(-1), recon.reshape(-1), eb_abs):
         print("Pass error check!")
         return 0
@@ -186,8 +171,7 @@ def _compress_chunked_cli(args, data, mode: str, chunk_bytes: int) -> int:
             pool = WorkerPool(nworkers=args.workers, backend=args.backend)
             pool.wait_ready()
         chunked = compress_chunked(
-            data, mode=mode, chunk_bytes=chunk_bytes, pool=pool,
-            kernel_backend=args.kernel_backend, **bound
+            data, mode=mode, chunk_bytes=chunk_bytes, pool=pool, **bound
         )
         buf = chunked.to_bytes()
         wall = time.perf_counter() - t0
@@ -205,9 +189,7 @@ def _compress_chunked_cli(args, data, mode: str, chunk_bytes: int) -> int:
         print(f"(functional codec wall time: {wall:.3f} s for {data.nbytes / 1e6:.1f} MB)")
         print(f"compressed stream written to {out_path}")
         print()
-        recon = decompress_chunked(
-            chunked, pool=pool, kernel_backend=args.kernel_backend
-        )
+        recon = decompress_chunked(chunked, pool=pool)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -247,7 +229,7 @@ def cmd_decompress(args) -> int:
                 print(f"integrity check FAILED: chunk(s) {bad} fail their manifest CRC32")
                 print("hint: retransmit the damaged chunks (each chunk is independent)")
                 return 1
-            recon = decompress_chunked(chunked, kernel_backend=args.kernel_backend)
+            recon = decompress_chunked(chunked)
         else:
             from . import codecs as _codecs
 
@@ -259,11 +241,7 @@ def cmd_decompress(args) -> int:
                 header = StreamHeader.unpack(stream)
                 checks = "header+group checksums" if header.version >= 2 else "no checksums"
                 print(f"stream format v{header.version} ({checks})")
-                recon = decompress(
-                    stream,
-                    on_corruption=args.on_corruption,
-                    kernel_backend=args.kernel_backend,
-                )
+                recon = decompress(stream, on_corruption=args.on_corruption)
     except IntegrityError as e:
         print(f"integrity check FAILED: {e}")
         print("hint: retry with --on-corruption recover to salvage intact block groups")
@@ -297,7 +275,6 @@ def cmd_serve_bench(args) -> int:
         seed=args.seed,
         dataset=args.dataset,
         field=args.field,
-        kernel_backend=args.kernel_backend,
     )
     report = run_serve_bench(cfg)
     print(format_report(report))
@@ -317,7 +294,6 @@ def cmd_serve(args) -> int:
         ServiceConfig(
             workers=args.workers,
             backend=args.backend,
-            kernel_backend=args.kernel_backend,
             transport=args.transport,
             deadline_s=args.deadline_s,
             autoscale=args.autoscale,
@@ -376,7 +352,6 @@ def cmd_trace(args) -> int:
         with CompressionService(
             workers=args.workers,
             backend=args.backend,
-            kernel_backend=args.kernel_backend,
             mode=mode,
             chunk_bytes=int(args.chunk_mb * (1 << 20)),
             tracer=tracer,
@@ -725,10 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument(
         "--backend", default="process", choices=["thread", "process"],
-        help="worker-pool backend for --workers > 1 (default process); "
-        "unrelated to --kernel-backend, which picks the codec kernels",
+        help="worker-pool backend for --workers > 1 (default process)",
     )
-    _add_kernel_backend_arg(c)
     c.add_argument(
         "--codec", default="cuszp2", choices=CODECS,
         help="compressor plugin from the repro.codecs registry, or 'auto' "
@@ -750,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["raise", "recover"],
         help="corrupt v2 stream: fail (default) or decode intact groups + NaN-fill",
     )
-    _add_kernel_backend_arg(d)
     d.add_argument(
         "--codec", default=None, choices=[c for c in CODECS if c != "auto"],
         help="force a specific plugin instead of sniffing the stream magic",
@@ -765,13 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--workers", type=int, default=2)
     sb.add_argument(
         "--backend", default="thread", choices=["thread", "process"],
-        help="worker-pool backend (distinct from --kernel-backend)",
+        help="worker-pool backend",
     )
     sb.add_argument(
         "--transport", default="pickle", choices=["pickle", "shm"],
         help="worker transport: pickled queues or zero-copy shared memory",
     )
-    _add_kernel_backend_arg(sb)
     sb.add_argument("--requests", type=int, default=8, help="total compress+decompress iterations")
     sb.add_argument("--clients", type=int, default=2, help="concurrent closed-loop clients")
     sb.add_argument("--rel", type=float, default=1e-3)
@@ -801,7 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport", default="shm", choices=["pickle", "shm"],
         help="worker transport (default shm: zero-copy shared memory)",
     )
-    _add_kernel_backend_arg(sv)
     sv.add_argument("--deadline-s", type=float, default=None,
                     help="default per-request budget (None = unbounded)")
     sv.add_argument("--max-inflight", type=int, default=64,
@@ -835,9 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--workers", type=int, default=2)
     tr.add_argument(
         "--backend", default="thread", choices=["thread", "process"],
-        help="worker-pool backend (distinct from --kernel-backend)",
+        help="worker-pool backend",
     )
-    _add_kernel_backend_arg(tr)
     tr.add_argument("--chunk-mb", type=float, default=4.0)
     tr.add_argument("--json", help="write the span trees as JSON to this path")
     tr.add_argument("--folded", help="write flamegraph folded stacks to this path")
@@ -854,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--paths",
         action="append",
         choices=["roundtrip", "chunked", "random_access", "corruption", "store",
-                 "backends", "serve_shm", "codecs"],
+                 "serve_shm", "codecs"],
         help="restrict to one oracle path (repeatable; default all)",
     )
     fz.add_argument(

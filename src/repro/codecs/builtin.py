@@ -57,9 +57,6 @@ class CuSZp2Plugin(CompressorPlugin):
             "group_blocks", int, "blocks per checksum group",
             default=_stream.DEFAULT_GROUP_BLOCKS, minimum=1,
         ),
-        "kernel_backend": OptionSpec(
-            "kernel_backend", str, "kernel registry name", default="auto",
-        ),
     }
 
     def _compress(self, arr, opts):
@@ -69,7 +66,6 @@ class CuSZp2Plugin(CompressorPlugin):
             block=opts["block"],
             predictor_ndim=opts["predictor_ndim"],
             group_blocks=opts["group_blocks"],
-            kernel_backend=opts["kernel_backend"],
         ).compress(arr)
 
     def _decompress(self, payload):

@@ -4,13 +4,6 @@ Public surface: :func:`compress`, :func:`decompress`, :class:`CuSZp2`,
 :class:`ErrorBound`, :class:`RandomAccessor`.
 """
 
-from .backends import (
-    KernelBackend,
-    available_backends,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
 from .compressor import (
     DEFAULT_BLOCK,
     CompressorConfig,
@@ -40,11 +33,6 @@ from .stream import DEFAULT_GROUP_BLOCKS, HEADER_SIZE, StreamHeader
 __all__ = [
     "CuSZp2",
     "CompressorConfig",
-    "KernelBackend",
-    "available_backends",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
     "validate_chunk_blocks",
     "ErrorBound",
     "RandomAccessor",

@@ -34,10 +34,9 @@ import numpy as np
 
 from repro.obs import trace as obs_trace
 
-from . import backends as kernel_backends
-from . import fle, stream
+from . import fle, predictor, stream
 from .errors import InvalidInputError
-from .quantize import ErrorBound, validate_input
+from .quantize import ErrorBound, dequantize, quantize, validate_input
 
 MODES = {"plain": 0, "outlier": 1}
 MODE_NAMES = {v: k for k, v in MODES.items()}
@@ -79,7 +78,6 @@ class CompressorConfig:
     predictor_ndim: int = 1
     chunk_blocks: int = DEFAULT_CHUNK_BLOCKS
     group_blocks: int = stream.DEFAULT_GROUP_BLOCKS
-    kernel_backend: str = "auto"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -95,7 +93,6 @@ class CompressorConfig:
                     f"block={self.block} is not a perfect {self.predictor_ndim}-D tile"
                 )
         validate_chunk_blocks(self.chunk_blocks)
-        kernel_backends.validate_backend_name(self.kernel_backend)
         if not 1 <= self.group_blocks <= 0xFFFF:
             raise InvalidInputError(
                 f"group_blocks (blocks per checksum group) must be in [1, 65535], "
@@ -132,11 +129,6 @@ class CuSZp2:
         Table VI dimensionality study).
     predictor_ndim:
         1 (default, the cuSZp2 design), or 2/3 for the Lorenzo variants.
-    kernel_backend:
-        Name of a registered kernel backend (``"numpy"``, ``"numba"``,
-        ...) or ``"auto"`` (default) to consult ``REPRO_KERNEL_BACKEND``
-        and fall back to ``"numpy"``.  Every backend produces
-        byte-identical streams; this is a throughput knob only.
     """
 
     def __init__(
@@ -147,14 +139,11 @@ class CuSZp2:
         predictor_ndim: int = 1,
         chunk_blocks: int = DEFAULT_CHUNK_BLOCKS,
         group_blocks: int = stream.DEFAULT_GROUP_BLOCKS,
-        kernel_backend: str = "auto",
     ):
         if isinstance(error_bound, (int, float)):
             error_bound = ErrorBound.relative(float(error_bound))
         self.error_bound = error_bound
-        self.config = CompressorConfig(
-            mode, block, predictor_ndim, chunk_blocks, group_blocks, kernel_backend
-        )
+        self.config = CompressorConfig(mode, block, predictor_ndim, chunk_blocks, group_blocks)
 
     # -- compression --------------------------------------------------------
 
@@ -165,18 +154,16 @@ class CuSZp2:
             "codec.compress", bytes_in=int(data.nbytes), mode=cfg.mode,
         ) as sp:
             dims, orig_ndim = _resolve_dims(data, cfg)
-            backend = kernel_backends.resolve_backend(cfg.kernel_backend)
             with obs_trace.maybe_span("codec.quantize"):
                 flat, lo, hi = validate_input(data, return_minmax=True)
                 eb_abs = self.error_bound.resolve(flat, minmax=(lo, hi))
 
             use_outlier = cfg.mode == "outlier"
             if cfg.predictor_ndim == 1:
-                # quantization happens inside the backend's chunk loop so
-                # each quant chunk is still cache-hot when the predictor and
-                # encoder consume it (the fused backends collapse all three
-                # stages into one pass)
-                offsets, payload = backend.encode_1d_chunked(
+                # quantization happens inside the chunk loop so each quant
+                # chunk is still cache-hot when the predictor and encoder
+                # consume it
+                offsets, payload = _encode_1d_chunked(
                     flat, eb_abs, (lo, hi), cfg.block, cfg.chunk_blocks, use_outlier
                 )
             else:
@@ -184,15 +171,13 @@ class CuSZp2:
                     # the ndim-D predictor sums at most 2**ndim integers per
                     # delta, so quantize can safely emit narrow int32 codes;
                     # the field extrema feed its monotone range check
-                    q = backend.quantize(
+                    q = quantize(
                         flat, eb_abs, int32_terms=2**cfg.predictor_ndim, minmax=(lo, hi)
                     )
                 with obs_trace.maybe_span("codec.predict"):
-                    dblocks = backend.predict_forward(
-                        q, dims, cfg.predictor_ndim, cfg.block
-                    )
+                    dblocks = predictor.forward(q, dims, cfg.predictor_ndim, cfg.block)
                 with obs_trace.maybe_span("codec.fle"):
-                    offsets, payload = backend.fle_encode(dblocks, use_outlier)
+                    offsets, payload = fle.encode_blocks(dblocks, use_outlier)
 
             header = stream.StreamHeader(
                 mode=MODES[cfg.mode],
@@ -226,8 +211,70 @@ class CuSZp2:
 
     def decompress(self, buf, **kwargs) -> np.ndarray:
         kwargs.setdefault("chunk_blocks", self.config.chunk_blocks)
-        kwargs.setdefault("kernel_backend", self.config.kernel_backend)
         return decompress(buf, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# The 1-D hot path: quantize -> difference -> FLE, one chunk at a time
+# ---------------------------------------------------------------------------
+
+def _encode_1d_chunked(flat, eb_abs, minmax, block, chunk_blocks, use_outlier):
+    """Encode a flat float array into ``(offset_bytes, payload)``."""
+    n = flat.shape[0]
+    nblocks = -(-n // block)
+    offsets = np.empty(nblocks, dtype=np.uint8)
+    # Preallocated payload buffer with amortized doubling: one byte per
+    # element (compression ratio 4 on float32) covers typical fields,
+    # and growth recopies at most O(log) times.
+    payload = np.empty(max(1024, nblocks * block), dtype=np.uint8)
+    pos = 0
+    for lo in range(0, nblocks, chunk_blocks):
+        hi = min(lo + chunk_blocks, nblocks)
+        with obs_trace.maybe_span("codec.quantize"):
+            # global minmax keeps the int32/int64 decision and overflow
+            # check identical across chunks (1-D differences sum 2 terms)
+            qchunk = quantize(
+                flat[lo * block : min(hi * block, n)],
+                eb_abs,
+                int32_terms=2,
+                minmax=minmax,
+            )
+        with obs_trace.maybe_span("codec.predict"):
+            dblocks = predictor.diff_1d(predictor.blockize_1d(qchunk, block))
+        with obs_trace.maybe_span("codec.fle"):
+            offs, pay = fle.encode_blocks(dblocks, use_outlier)
+        offsets[lo : lo + offs.size] = offs
+        end = pos + pay.size
+        if end > payload.size:
+            grown = np.empty(max(end, 2 * payload.size), dtype=np.uint8)
+            grown[:pos] = payload[:pos]
+            payload = grown
+        payload[pos:end] = pay
+        pos = end
+    return offsets, payload[:pos]
+
+
+def _decode_1d_chunked(offsets, payload, bounds, block, chunk_blocks):
+    """Decode to the flat quant array of ``offsets.size * block``
+    elements (tail padding still attached; dtype per
+    :func:`repro.core.fle.delta_dtype`).  ``bounds`` is the global
+    payload prefix sum (``nblocks + 1`` entries)."""
+    nblocks = offsets.shape[0]
+    # preallocated output; prefix sums accumulate directly into it
+    # (dtype chosen once over the whole stream, so every chunk's
+    # delta dtype is at most as wide)
+    q = np.empty(nblocks * block, dtype=fle.delta_dtype(offsets, block))
+    for lo in range(0, nblocks, chunk_blocks):
+        hi = min(lo + chunk_blocks, nblocks)
+        with obs_trace.maybe_span("codec.fle_decode"):
+            dblocks = fle.decode_blocks(
+                offsets[lo:hi], payload[bounds[lo] : bounds[hi]], block
+            )
+        with obs_trace.maybe_span("codec.undiff"):
+            predictor.undiff_1d(
+                dblocks, out=q[lo * block : hi * block].reshape(-1, block)
+            )
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +289,6 @@ def compress(
     block: int = DEFAULT_BLOCK,
     predictor_ndim: int = 1,
     group_blocks: int = stream.DEFAULT_GROUP_BLOCKS,
-    kernel_backend: str = "auto",
 ) -> np.ndarray:
     """Compress ``data`` under a REL (``rel=``) or ABS (``abs=``) error
     bound; returns the unified compressed byte array (uint8, format v2:
@@ -256,7 +302,6 @@ def compress(
         block=block,
         predictor_ndim=predictor_ndim,
         group_blocks=group_blocks,
-        kernel_backend=kernel_backend,
     ).compress(data)
 
 
@@ -266,7 +311,6 @@ def decompress(
     integrity: str = "auto",
     on_corruption: str = "raise",
     fill_value: float = np.nan,
-    kernel_backend: str = "auto",
 ) -> np.ndarray:
     """Decompress a cuSZp2 stream back to a float array (original shape
     restored when it had at most 3 axes).
@@ -283,9 +327,6 @@ def decompress(
         :class:`~repro.core.integrity.CorruptionReport` when verification
         fails; ``"recover"`` decodes every intact block group normally and
         fills damaged groups with ``fill_value`` (1-D predictor only).
-    kernel_backend:
-        Registered kernel backend name or ``"auto"`` (environment /
-        ``"numpy"`` default); the output is byte-identical either way.
     """
     if integrity not in ("auto", "verify", "skip"):
         raise InvalidInputError(
@@ -296,7 +337,6 @@ def decompress(
             f"on_corruption must be 'raise' or 'recover', got {on_corruption!r}"
         )
     chunk_blocks = validate_chunk_blocks(chunk_blocks)
-    backend = kernel_backends.resolve_backend(kernel_backend)
     buf = stream.as_stream_bytes(buf)
     with obs_trace.maybe_span("codec.decompress", bytes_in=int(buf.size)) as root:
         if integrity != "skip":
@@ -330,23 +370,19 @@ def decompress(
             bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
 
         if header.predictor_ndim == 1:
-            q = backend.decode_1d_chunked(
-                offsets, payload, bounds, header.block, chunk_blocks
-            )
+            q = _decode_1d_chunked(offsets, payload, bounds, header.block, chunk_blocks)
             q = q[: header.nelems]
         else:
             with obs_trace.maybe_span("codec.fle_decode"):
-                dblocks = backend.fle_decode(
-                    offsets, payload[: bounds[-1]], header.block
-                )
+                dblocks = fle.decode_blocks(offsets, payload[: bounds[-1]], header.block)
             with obs_trace.maybe_span("codec.undiff"):
-                q = backend.predict_inverse(
+                q = predictor.inverse(
                     dblocks, header.dims, header.predictor_ndim, header.block,
                     header.nelems,
                 )
 
         with obs_trace.maybe_span("codec.dequantize"):
-            out = backend.dequantize(q, header.eb_abs, header.dtype)
+            out = dequantize(q, header.eb_abs, header.dtype)
         if root is not None:
             root.set(bytes_out=int(out.nbytes))
         if orig_ndim == 0:

@@ -123,15 +123,15 @@ def quantized_bounds(minmax: tuple, eb_abs: float) -> tuple:
     """Quantizer image ``(lo_q, hi_q)`` of the data extrema.
 
     The quantizer map is monotone nondecreasing, so these two scalar
-    evaluations bound every quantization integer of the field.  All kernel
-    backends derive their range/overflow checks and their integer-width
-    decision from this one function so the checks agree bit-for-bit.
+    evaluations bound every quantization integer of the field:
+    :func:`quantize` derives its range/overflow check and its integer-width
+    decision from them without scanning the data.
     """
     return _quantize_scalar(minmax[0], eb_abs), _quantize_scalar(minmax[1], eb_abs)
 
 
 def quant_output_dtype(lo_q: float, hi_q: float, int32_terms: int) -> np.dtype:
-    """The int32-vs-int64 demotion decision, shared by every kernel backend.
+    """The int32-vs-int64 demotion decision for :func:`quantize`'s output.
 
     Given the quantizer image ``[lo_q, hi_q]`` of the *whole field* (never a
     chunk -- a per-chunk decision could demote one chunk and not its

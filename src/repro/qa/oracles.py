@@ -26,9 +26,6 @@ The oracles mirror the shipped entry points:
     ndarray mirror under random interleaved reads/writes; flushed streams
     verify clean and round-trip bit-identically through the monolithic
     codec; batched ``rewrite_blocks`` == sequential ``rewrite_block``.
-``backends``
-    every registered-and-available kernel backend produces CSZ2 streams
-    and decodes byte-identical to the NumPy reference backend.
 ``serve_shm``
     chunked requests routed through a worker pool on the zero-copy
     shared-memory transport produce byte-identical chunk streams and
@@ -438,70 +435,6 @@ def oracle_store(case: FuzzCase, ctx: OracleContext) -> None:
         ) from None
 
 
-#: The per-backend differential check recompresses with pure-Python fused
-#: kernels when numba is absent, so it runs on a bounded prefix of big cases
-#: (block/group structure is fully exercised well below this).
-_BACKEND_MAX_ELEMS = 4096
-
-
-def oracle_backends(case: FuzzCase, ctx: OracleContext) -> None:
-    """Every available kernel backend against the NumPy reference.
-
-    Compressing with each registered-and-available backend must yield the
-    very same CSZ2 bytes as the ``"numpy"`` reference, and each backend's
-    decode of the reference stream must match the reference decode
-    byte-for-byte.  The fused backends short-circuit only the 1-D chunked
-    path, so multi-dimensional cases are skipped (they share the NumPy
-    kernels by construction).
-    """
-    name = "backends"
-    if case.expect_error is not None or case.params["predictor_ndim"] != 1:
-        return
-
-    def _do():
-        from ..core.backends import available_backends
-
-        others = [b for b in available_backends() if b != "numpy"]
-        if not others:
-            return
-        sub = case
-        flat = case.data.reshape(-1)
-        if flat.size > _BACKEND_MAX_ELEMS:
-            sub = case.with_data(flat[:_BACKEND_MAX_ELEMS].copy())
-        ref = compress(sub.data, kernel_backend="numpy", **sub.codec_kwargs)
-        ref_dec = decompress(ref, kernel_backend="numpy")
-        for backend in others:
-            got = compress(sub.data, kernel_backend=backend, **sub.codec_kwargs)
-            if got.tobytes() != ref.tobytes():
-                if got.size == ref.size:
-                    bad = int(np.flatnonzero(got != ref)[0])
-                    where = f"first differing byte at offset {bad}"
-                else:
-                    where = f"sizes differ: {got.size} vs {ref.size}"
-                raise _fail(
-                    name, sub,
-                    f"backend {backend!r} stream differs from numpy ({where})",
-                )
-            dec = decompress(ref, kernel_backend=backend)
-            if dec.tobytes() != ref_dec.tobytes():
-                bad = int(
-                    np.flatnonzero(dec.reshape(-1) != ref_dec.reshape(-1))[0]
-                ) if dec.size == ref_dec.size else -1
-                raise _fail(
-                    name, sub,
-                    f"backend {backend!r} decode differs from numpy "
-                    f"(first mismatch at flat element {bad})",
-                )
-
-    try:
-        _guard(name, case, _do, "kernel backends")
-    except CuSZp2Error as e:
-        raise _fail(
-            name, case,
-            f"a kernel backend rejected a finite input: {type(e).__name__}: {e}",
-        ) from None
-
-
 def oracle_serve_shm(case: FuzzCase, ctx: OracleContext) -> None:
     """The zero-copy shm transport against the inline codec.
 
@@ -665,7 +598,6 @@ ORACLES: Dict[str, Callable[[FuzzCase, OracleContext], None]] = {
     "random_access": oracle_random_access,
     "corruption": oracle_corruption,
     "store": oracle_store,
-    "backends": oracle_backends,
     "serve_shm": oracle_serve_shm,
     "codecs": oracle_codecs,
 }
@@ -678,7 +610,7 @@ def applicable_oracles(case: FuzzCase, paths=None):
     for nm in names:
         if nm not in ORACLES:
             raise ValueError(f"unknown oracle {nm!r}; choose from {sorted(ORACLES)}")
-        if nm in ("random_access", "store", "backends") and case.params["predictor_ndim"] != 1:
+        if nm in ("random_access", "store") and case.params["predictor_ndim"] != 1:
             continue
         if nm not in ("roundtrip", "codecs") and case.expect_error is not None:
             continue

@@ -32,8 +32,7 @@ class BenchConfig:
 
     size_mb: float = 8.0
     workers: int = 2
-    backend: str = "thread"  # worker-pool flavor, not the codec kernels
-    kernel_backend: str = "auto"  # codec kernel registry name
+    backend: str = "thread"  # worker-pool flavor: "thread" | "process"
     transport: str = "pickle"  # "pickle" | "shm" (zero-copy arena)
     requests: int = 8  # total iterations (compress + decompress each)
     clients: int = 2
@@ -78,7 +77,6 @@ def run_serve_bench(cfg: BenchConfig) -> dict:
         ServiceConfig(
             workers=cfg.workers,
             backend=cfg.backend,
-            kernel_backend=cfg.kernel_backend,
             transport=cfg.transport,
             mode=cfg.mode,
             chunk_bytes=int(cfg.chunk_mb * (1 << 20)),

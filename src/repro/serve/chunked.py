@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import stream as _stream
-from repro.core.compressor import DEFAULT_BLOCK, MODES, compress as _compress
+from repro.core.compressor import DEFAULT_BLOCK, CompressorConfig, compress as _compress
 from repro.core.compressor import decompress as _decompress
 from repro.core.errors import InvalidInputError, StreamFormatError
 from repro.core.quantize import ErrorBound, validate_input
@@ -389,11 +389,7 @@ def raw_from_bytes(buf) -> np.ndarray:
 
 @register_task("chunk.compress")
 def compress_chunk(arg: dict) -> np.ndarray:
-    """Compress one chunk under an already-resolved ABS bound.  The task
-    dict carries the kernel-backend name so process workers make the same
-    backend choice as the coordinating session (every backend is
-    byte-identical, so a mixed fleet would still be correct -- just
-    unintentional)."""
+    """Compress one chunk under an already-resolved ABS bound."""
     data = arg["data"]
     with obs_trace.maybe_span("chunk.compress", bytes_in=int(data.nbytes)) as sp:
         out = _compress(
@@ -403,7 +399,6 @@ def compress_chunk(arg: dict) -> np.ndarray:
             block=arg.get("block", DEFAULT_BLOCK),
             predictor_ndim=arg.get("predictor_ndim", 1),
             group_blocks=arg.get("group_blocks", _stream.DEFAULT_GROUP_BLOCKS),
-            kernel_backend=arg.get("kernel_backend", "auto"),
         )
         if sp is not None:
             sp.set(bytes_out=int(out.size))
@@ -413,24 +408,18 @@ def compress_chunk(arg: dict) -> np.ndarray:
 @register_task("chunk.decompress")
 def decompress_chunk(arg) -> np.ndarray:
     """Decompress one self-contained chunk stream (or decode a
-    raw-passthrough chunk emitted by the degradation chain).  ``arg`` is
-    either the stream bytes themselves or a dict
-    ``{"stream": ..., "kernel_backend": ...}`` carrying the worker's
-    kernel-backend choice.
+    raw-passthrough chunk emitted by the degradation chain); ``arg`` is
+    the stream bytes.
 
     Streams that are neither raw containers nor core CSZ2 sniff through
     the :mod:`repro.codecs` plugin registry, so a service decodes any
     registered codec's output without being told which codec made it."""
-    kernel_backend = "auto"
-    if isinstance(arg, dict):
-        kernel_backend = arg.get("kernel_backend", "auto")
-        arg = arg["stream"]
     nbytes = int(arg.size) if isinstance(arg, np.ndarray) else len(arg)
     with obs_trace.maybe_span("chunk.decompress", bytes_in=nbytes) as sp:
         if is_raw(arg):
             out = raw_from_bytes(arg)
         elif _is_csz2(arg):
-            out = _decompress(arg, kernel_backend=kernel_backend)
+            out = _decompress(arg)
         else:
             from repro import codecs as _codecs
 
@@ -504,7 +493,6 @@ def compress_chunked(
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     chunk_elems: Optional[int] = None,
     pool=None,
-    kernel_backend: str = "auto",
 ) -> ChunkedStream:
     """Compress ``data`` chunk by chunk into a :class:`ChunkedStream`.
 
@@ -514,8 +502,11 @@ def compress_chunked(
     :class:`~repro.serve.pool.WorkerPool` to compress chunks in parallel.
     """
     data = np.asarray(data)
-    if mode not in MODES:
-        raise InvalidInputError(f"mode must be 'plain' or 'outlier', got {mode!r}")
+    # the codec's own validator, before planning: a bad setting is an
+    # InvalidInputError whatever the field size
+    CompressorConfig(
+        mode=mode, block=block, predictor_ndim=predictor_ndim, group_blocks=group_blocks
+    )
     if (rel is None) == (abs is None):
         raise InvalidInputError("specify exactly one of rel= or abs=")
     eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
@@ -538,7 +529,6 @@ def compress_chunked(
             "block": block,
             "predictor_ndim": predictor_ndim,
             "group_blocks": group_blocks,
-            "kernel_backend": kernel_backend,
         }
         for view in _chunk_views(data, spans, axis)
     ]
@@ -569,20 +559,16 @@ def compress_chunked(
     return ChunkedStream(manifest, streams)
 
 
-def decompress_chunked(obj, pool=None, kernel_backend: str = "auto") -> np.ndarray:
+def decompress_chunked(obj, pool=None) -> np.ndarray:
     """Decode a :class:`ChunkedStream` (or serialized container) back to
     the original field shape; chunks decode independently (optionally in
     parallel over ``pool``)."""
     chunked = obj if isinstance(obj, ChunkedStream) else ChunkedStream.from_bytes(obj)
     m = chunked.manifest
-    if kernel_backend != "auto":
-        args = [{"stream": c, "kernel_backend": kernel_backend} for c in chunked.chunks]
-    else:
-        args = list(chunked.chunks)
     if pool is not None:
-        parts = pool.map("chunk.decompress", args)
+        parts = pool.map("chunk.decompress", chunked.chunks)
     else:
-        parts = [decompress_chunk(c) for c in args]
+        parts = [decompress_chunk(c) for c in chunked.chunks]
     if m.axis == "flat":
         out = np.concatenate([p.reshape(-1) for p in parts])
     else:

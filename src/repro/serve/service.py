@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core import stream as _stream
-from repro.core.compressor import DEFAULT_BLOCK
+from repro.core.compressor import DEFAULT_BLOCK, CompressorConfig
 from repro.core.errors import IntegrityError, InvalidInputError
 from repro.core.quantize import ErrorBound, validate_input
 from repro.obs.trace import TraceContext, Tracer
@@ -39,7 +39,6 @@ class ServiceConfig:
 
     workers: int = 2
     backend: str = "thread"  # "thread" (tests / I/O mixes) | "process" (CPU)
-    kernel_backend: str = "auto"  # codec kernel registry name; workers inherit it
     transport: str = "pickle"  # "pickle" | "shm" (zero-copy, serve/shm.py)
     shm_slots: Optional[int] = None  # arena slots (None: 4*workers+8)
     shm_slot_bytes: int = 8 << 20  # bytes per arena slot
@@ -293,6 +292,10 @@ class CompressionService:
             else None
         )
         try:
+            # validate the codec settings here, on the caller's thread and
+            # before any task or chunk plan, as the plugin path validates
+            # its options: the error must not depend on the input size
+            CompressorConfig(mode=mode, block=cfg.block, group_blocks=cfg.group_blocks)
             if (rel is None) == (abs is None):
                 raise InvalidInputError("specify exactly one of rel= or abs=")
             eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
@@ -315,7 +318,6 @@ class CompressionService:
                 "mode": mode,
                 "block": cfg.block,
                 "group_blocks": cfg.group_blocks,
-                "kernel_backend": cfg.kernel_backend,
             }
             master = self._submit(
                 "chunk.compress", arg, priority=priority, nbytes=data.nbytes,
@@ -344,7 +346,6 @@ class CompressionService:
                         "mode": mode,
                         "block": cfg.block,
                         "group_blocks": cfg.group_blocks,
-                        "kernel_backend": cfg.kernel_backend,
                     },
                     priority=priority,
                     nbytes=view.nbytes,
@@ -522,20 +523,11 @@ class CompressionService:
                 return _resolved(hit)
 
         deadline = self._deadline(timeout_s)
-        kb = self.config.kernel_backend
-
-        def decode_arg(stream):
-            # the bare-bytes form keeps golden traffic shapes for the
-            # default; an explicit backend rides along in the task dict
-            if kb == "auto":
-                return stream
-            return {"stream": stream, "kernel_backend": kb}
-
         if _chunked.is_chunked(buf):
             chunks = _chunked.ChunkedStream.from_bytes(buf)
             futures = [
                 self._submit(
-                    "chunk.decompress", decode_arg(c), priority=priority,
+                    "chunk.decompress", c, priority=priority,
                     nbytes=int(c.size), batchable=False, trace=trace,
                     deadline=deadline,
                 )
@@ -555,7 +547,7 @@ class CompressionService:
             # single v2 stream, a CSZ2RAW1 passthrough container, or any
             # registered plugin's stream; the worker task sniffs the magic
             master = self._submit(
-                "chunk.decompress", decode_arg(buf), priority=priority,
+                "chunk.decompress", buf, priority=priority,
                 nbytes=int(buf.size), batchable=True, trace=trace,
                 deadline=deadline,
             )

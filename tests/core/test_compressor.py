@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import CuSZp2, ErrorBound, compress, compression_ratio, decompress
-from repro.core.compressor import CompressorConfig
+from repro.core.compressor import CompressorConfig, validate_chunk_blocks
 from repro.core.errors import InvalidInputError
 
 from tests.helpers import assert_error_bounded, value_range
@@ -170,6 +170,34 @@ class TestChunking:
         seen.clear()
         codec.decompress(buf, chunk_blocks=5)
         assert seen["chunk_blocks"] == 5
+
+
+class TestChunkBlocksValidator:
+    def test_accepts_positive_integers(self):
+        assert validate_chunk_blocks(1) == 1
+        assert validate_chunk_blocks(np.int64(17)) == 17
+        assert isinstance(validate_chunk_blocks(np.int64(17)), int)
+
+    @pytest.mark.parametrize("bad", [0, -1, -100, True, False, 1.5, "8", None])
+    def test_rejects_nonpositive_and_nonintegral(self, bad):
+        with pytest.raises(
+            InvalidInputError, match="chunk_blocks must be a positive integer"
+        ):
+            validate_chunk_blocks(bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5])
+    def test_config_and_decompress_agree(self, bad, smooth_f32):
+        # both entry points route through the one validator: same type,
+        # same message
+        with pytest.raises(
+            InvalidInputError, match="chunk_blocks must be a positive integer"
+        ):
+            CompressorConfig(chunk_blocks=bad)
+        buf = compress(smooth_f32, rel=1e-3)
+        with pytest.raises(
+            InvalidInputError, match="chunk_blocks must be a positive integer"
+        ):
+            decompress(buf, chunk_blocks=bad)
 
 
 class TestValidation:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import bitpack, blockfmt, compress, decompress, fle, predictor
-from repro.core.backends import available_backends, registered_backends
 from repro.core.errors import QuantizationOverflowError, StreamFormatError
 from repro.core.fle import delta_dtype
 from repro.core.quantize import _CONVERT_CHUNK, MAX_QUANT_MAGNITUDE, dequantize, quantize
@@ -296,101 +295,6 @@ class TestGeneratorFamilyOracle:
             )
             np.testing.assert_array_equal(
                 bitpack.unpack_signs(signs, block), deltas < 0
-            )
-
-
-# ---------------------------------------------------------------------------
-# Kernel backends: every registered backend must be stream-invisible
-# ---------------------------------------------------------------------------
-
-
-def _backend_or_skip(name: str) -> str:
-    """Skip (with the reason on the report) when the backend's runtime is
-    missing on this host -- ``numba`` on a CPU-only CI image."""
-    if name not in available_backends():
-        pytest.skip(f"kernel backend {name!r} unavailable: numba is not installed")
-    return name
-
-
-def _assert_stream_identical(data, name, **kwargs):
-    ref = compress(data, kernel_backend="numpy", **kwargs)
-    got = compress(data, kernel_backend=name, **kwargs)
-    assert got.tobytes() == ref.tobytes(), (
-        f"backend {name!r} stream differs from numpy "
-        f"(sizes {got.size} vs {ref.size})"
-    )
-    assert (
-        decompress(ref, kernel_backend=name).tobytes()
-        == decompress(ref, kernel_backend="numpy").tobytes()
-    ), f"backend {name!r} decode differs from numpy"
-    return ref
-
-
-@pytest.mark.parametrize("backend", registered_backends())
-class TestBackendStreamOracle:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_generator_families_bit_identical(self, backend, family):
-        _backend_or_skip(backend)
-        checked = 0
-        for index in range(4):
-            case = draw_case(seed=3, index=index, family=family)
-            if case.expect_error is not None or case.params["predictor_ndim"] != 1:
-                continue
-            # bound the pure-Python fused kernels' cost; block and group
-            # structure repeats well before this
-            data = case.data.reshape(-1)[:4096]
-            _assert_stream_identical(data, backend, **case.codec_kwargs)
-            checked += 1
-        if checked == 0:
-            pytest.skip(f"family {family} draws no applicable 1-D cases")
-
-    @pytest.mark.parametrize("fl", list(range(32)))
-    def test_every_bit_plane_count(self, backend, fl):
-        _backend_or_skip(backend)
-        # quant values alternate 0 and (2**fl - 1): every block's deltas
-        # have bit length exactly fl, and nothing overflows
-        m = (1 << fl) - 1
-        q = np.tile([0, m], 40).astype(np.float64)
-        data = 2.0 * q  # abs bound 1.0 quantizes x -> round(x / 2)
-        for mode in ("plain", "outlier"):
-            _assert_stream_identical(data, backend, abs=1.0, mode=mode)
-
-    def test_denormals(self, backend):
-        _backend_or_skip(backend)
-        for dtype in (np.float32, np.float64):
-            tiny = float(np.finfo(dtype).tiny)
-            rng = np.random.default_rng(9)
-            data = (rng.normal(size=640) * tiny).astype(dtype)
-            data[::7] = np.array(tiny, dtype=dtype) / 4  # true denormals
-            _assert_stream_identical(data, backend, abs=tiny / 16)
-            _assert_stream_identical(data, backend, rel=1e-3)
-
-    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 65, 257])
-    def test_trailing_partial_blocks(self, backend, n):
-        _backend_or_skip(backend)
-        rng = np.random.default_rng(n)
-        data = np.cumsum(rng.normal(size=n)).astype(np.float32)
-        for mode in ("plain", "outlier"):
-            _assert_stream_identical(data, backend, rel=1e-3, mode=mode, block=32)
-
-    def test_chunked_encode_and_decode(self, backend):
-        _backend_or_skip(backend)
-        rng = np.random.default_rng(11)
-        data = np.cumsum(rng.normal(size=2_000)).astype(np.float32)
-        from repro.core import CuSZp2, ErrorBound
-
-        ref = compress(data, rel=1e-3, kernel_backend="numpy")
-        for chunk_blocks in (1, 3, 64):
-            got = CuSZp2(
-                ErrorBound.relative(1e-3),
-                chunk_blocks=chunk_blocks,
-                kernel_backend=backend,
-            ).compress(data)
-            assert got.tobytes() == ref.tobytes()
-            assert (
-                decompress(ref, kernel_backend=backend, chunk_blocks=chunk_blocks)
-                .tobytes()
-                == decompress(ref, kernel_backend="numpy").tobytes()
             )
 
 

@@ -21,12 +21,6 @@ class TestCampaignMode:
         out = capsys.readouterr().out
         assert "chunked" not in out.split("oracles:")[1].splitlines()[0]
 
-    def test_backends_path_runs_green(self, capsys):
-        rc = main(["fuzz", "--seed", "0", "--iters", "6", "--paths", "backends"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "FUZZ PASSED" in out
-
     def test_time_budget_flag(self, capsys):
         rc = main(["fuzz", "--seed", "0", "--iters", "100000",
                    "--time-budget", "1"])

@@ -15,7 +15,7 @@ class TestConfig:
     def test_defaults_cover_all_oracles(self):
         assert set(FuzzConfig().paths) == {
             "roundtrip", "chunked", "random_access", "corruption", "store",
-            "backends", "serve_shm", "codecs",
+            "serve_shm", "codecs",
         }
 
 
@@ -28,12 +28,11 @@ class TestCampaign:
         assert len(report.by_family) == 15  # every family seen once
         assert report.checks == sum(report.by_oracle.values())
         # nonfinite keeps only roundtrip; ndim2/ndim3 additionally drop
-        # random_access, store and backends
+        # random_access and store
         assert report.by_oracle["roundtrip"] == 15
         assert report.by_oracle["chunked"] == 14
         assert report.by_oracle["random_access"] == 12
         assert report.by_oracle["corruption"] == 14
-        assert report.by_oracle["backends"] == 12
 
     def test_reports_are_reproducible(self):
         cfg = FuzzConfig(seed=3, iters=10, paths=("roundtrip",))

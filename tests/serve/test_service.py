@@ -1,11 +1,13 @@
 """CompressionService end to end: batching path, fan-out path, cache."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core import decompress as mono_decompress
 from repro.core.errors import InvalidInputError
-from repro.serve import CompressionService, ServiceConfig, is_chunked
+from repro.serve import CompressionService, ServiceConfig, compress_chunked, is_chunked
 
 from tests.helpers import assert_error_bounded, value_range
 
@@ -119,3 +121,43 @@ class TestLifecycle:
             assert svc.config.batch_max == 3
         finally:
             svc.close()
+
+
+class TestCodecSettingValidation:
+    """A bad codec setting raises the same error whatever the input size:
+    every entry point validates through ``CompressorConfig`` on the
+    caller's thread, before it plans chunks or submits a task (a malformed
+    *setting* is not a malformed stream)."""
+
+    @pytest.mark.parametrize("entry", ["service", "compress_chunked"])
+    @pytest.mark.parametrize("n", [1_000, 300_000])  # below / above chunk_bytes
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"block": 12}, "block size must be a positive multiple of 8, got 12"),
+            ({"block": 0}, "block size must be a positive multiple of 8, got 0"),
+            (
+                {"group_blocks": 0},
+                "group_blocks (blocks per checksum group) must be in [1, 65535], got 0",
+            ),
+            (
+                {"group_blocks": 70_000},
+                "group_blocks (blocks per checksum group) must be in [1, 65535], "
+                "got 70000",
+            ),
+        ],
+        ids=["block12", "block0", "group0", "group70000"],
+    )
+    def test_bad_setting_raises_invalid_input(self, entry, n, setting, message):
+        data = np.arange(n, dtype=np.float32)
+        if entry == "compress_chunked":
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                compress_chunked(data, rel=1e-3, chunk_bytes=256 << 10, **setting)
+            return
+        with CompressionService(
+            workers=1, backend="thread", warmup=False, chunk_bytes=256 << 10, **setting
+        ) as svc:
+            # raised by compress() itself, not delivered through the future
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                svc.compress(data, rel=1e-3)
+            assert "service.requests" not in svc.stats_snapshot()["counters"]

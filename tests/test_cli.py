@@ -157,88 +157,6 @@ class TestChunkedCompress:
         assert "chunked into" not in capsys.readouterr().out
 
 
-class TestKernelBackendFlag:
-    """``--kernel-backend`` (codec kernels) vs ``--backend`` (worker pool)."""
-
-    @pytest.fixture
-    def small_field(self, tmp_path, rng):
-        data = np.cumsum(rng.normal(size=4_000)).astype(np.float32)
-        path = tmp_path / "small.f32"
-        write_field(path, data)
-        return path, data
-
-    def test_choices_stay_in_sync_with_registry(self):
-        from repro.cli import KERNEL_BACKENDS
-        from repro.core import registered_backends
-
-        assert set(KERNEL_BACKENDS) == {"auto"} | set(registered_backends())
-        assert KERNEL_BACKENDS[0] == "auto"
-
-    def test_explicit_backend_bitwise_identical_stream(self, small_field, tmp_path, capsys):
-        path, _ = small_field
-        a, b = tmp_path / "a.csz2", tmp_path / "b.csz2"
-        assert main(["compress", str(path), "1e-3", "-o", str(a)]) == 0
-        assert main([
-            "compress", str(path), "1e-3",
-            "--kernel-backend", "fused-python", "-o", str(b),
-        ]) == 0
-        assert "Pass error check!" in capsys.readouterr().out
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_decompress_accepts_kernel_backend(self, small_field, tmp_path, capsys):
-        path, data = small_field
-        out = tmp_path / "small.csz2"
-        assert main(["compress", str(path), "1e-3", "-o", str(out)]) == 0
-        capsys.readouterr()
-        recon_path = tmp_path / "recon.f32"
-        rc = main([
-            "decompress", str(out),
-            "--kernel-backend", "fused-python", "-o", str(recon_path),
-        ])
-        assert rc == 0
-        recon = read_field(recon_path)
-        eb = 1e-3 * (data.max() - data.min())
-        assert np.abs(recon - data).max() <= eb * (1 + 1e-6)
-
-    def test_chunked_path_carries_kernel_backend(self, small_field, tmp_path, capsys):
-        path, _ = small_field  # 16 KB: above a 0.01 MiB threshold
-        a, b = tmp_path / "a.csz2", tmp_path / "b.csz2"
-        assert main([
-            "compress", str(path), "1e-3", "--chunk-mb", "0.01", "-o", str(a),
-        ]) == 0
-        rc = main([
-            "compress", str(path), "1e-3", "--chunk-mb", "0.01",
-            "--kernel-backend", "fused-python", "-o", str(b),
-        ])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "chunked into" in text
-        assert "Pass error check!" in text
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_unavailable_backend_falls_back_with_warning(self, small_field, tmp_path):
-        from repro.core import available_backends
-
-        if "numba" in available_backends():
-            pytest.skip("numba installed: no fallback to observe")
-        path, _ = small_field
-        a, b = tmp_path / "a.csz2", tmp_path / "b.csz2"
-        assert main(["compress", str(path), "1e-3", "-o", str(a)]) == 0
-        with pytest.warns(RuntimeWarning, match="falling back to 'numpy'"):
-            rc = main([
-                "compress", str(path), "1e-3",
-                "--kernel-backend", "numba", "-o", str(b),
-            ])
-        assert rc == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_unknown_backend_rejected_by_argparse(self, small_field, capsys):
-        path, _ = small_field
-        with pytest.raises(SystemExit):
-            main(["compress", str(path), "1e-3", "--kernel-backend", "cuda"])
-        assert "invalid choice" in capsys.readouterr().err
-
-
 class TestServeBench:
     def test_serve_bench_runs_and_reports(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -252,20 +170,6 @@ class TestServeBench:
         assert "serve-bench:" in text
         assert "throughput" in text
         assert report_path.exists()
-
-    def test_serve_bench_kernel_backend_recorded(self, tmp_path, capsys):
-        import json
-
-        report_path = tmp_path / "report.json"
-        rc = main([
-            "serve-bench", "--size-mb", "0.05", "--workers", "1",
-            "--requests", "1", "--clients", "1", "--chunk-mb", "0.1",
-            "--kernel-backend", "fused-python", "--json", str(report_path),
-        ])
-        assert rc == 0
-        report = json.loads(report_path.read_text())
-        assert report["config"]["kernel_backend"] == "fused-python"
-        assert not report["errors"]
 
 
 class TestTrace:
@@ -311,21 +215,6 @@ class TestTrace:
         assert {r["name"] for r in roots} >= {"service.compress", "service.decompress"}
         assert any(";codec.fle " in line for line in fold.read_text().splitlines())
         assert "repro_pool_tasks_total" in prom.read_text()
-
-    def test_trace_kernel_backend_shows_fused_spans(self, capsys):
-        rc = main([
-            "trace", "--size-mb", "0.05", "--workers", "1",
-            "--kernel-backend", "fused-python",
-        ])
-        assert rc == 0
-        text = capsys.readouterr().out
-        # the fused backends replace the stage spans with single fused ones,
-        # so their presence proves the flag reached the codec in the workers
-        assert "codec.fused_encode" in text
-        assert "codec.fused_decode" in text
-        assert "codec.predict" not in text  # numpy-backend stage spans
-        assert "codec.undiff" not in text
-        assert "Pass error check!" in text
 
     def test_trace_raw_file_input(self, raw_field, capsys):
         path, _data = raw_field
