@@ -352,7 +352,7 @@ def cmd_trace(args) -> int:
         with CompressionService(
             workers=args.workers,
             backend=args.backend,
-            mode=mode,
+            codec_opts=(("mode", mode),),
             chunk_bytes=int(args.chunk_mb * (1 << 20)),
             tracer=tracer,
         ) as svc:

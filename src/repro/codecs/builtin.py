@@ -5,22 +5,21 @@ codec's native API.  The core codec and the pure-GPU baselines (cuSZp,
 FZ-GPU, cuZFP) ship self-describing streams and restore shape natively;
 the hybrid baselines (cuSZ, cuSZx, MGARD-like) store a flat element count
 only, so the plugin layer wraps their streams in the shape envelope.
+
+The baseline modules are imported on a plugin's first use, not here: the
+serve layer imports this registry, and every process worker it forks
+would otherwise pay for six codecs it may never run.  Each plugin's
+``magic`` is therefore a literal (tests pin it to the module's own).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
-import numpy as np
-
-from ..baselines import fzgpu as _fzgpu
-from ..baselines.cuszp import CuSZp as _CuSZp
-from ..baselines.hybrid import CuSZ as _CuSZ
-from ..baselines.hybrid import CuSZx as _CuSZx
-from ..baselines.hybrid import MGARDLike as _MGARDLike
-from ..baselines.zfp import codec as _zfp
 from ..core import compressor as _core
 from ..core import stream as _stream
+from ..core.errors import InvalidInputError
 from ..core.quantize import ErrorBound
 from .plugin import CompressorPlugin, OptionSpec, register
 
@@ -49,15 +48,45 @@ class CuSZp2Plugin(CompressorPlugin):
             "mode", str, "per-block encoding selection", default="outlier",
             choices=("plain", "outlier"),
         ),
-        "block": OptionSpec("block", int, "elements per block", default=_core.DEFAULT_BLOCK, minimum=1),
+        "block": OptionSpec("block", int, "elements per block", default=_core.DEFAULT_BLOCK),
         "predictor_ndim": OptionSpec(
             "predictor_ndim", int, "Lorenzo dimensionality", default=1, choices=(1, 2, 3),
         ),
         "group_blocks": OptionSpec(
             "group_blocks", int, "blocks per checksum group",
-            default=_stream.DEFAULT_GROUP_BLOCKS, minimum=1,
+            default=_stream.DEFAULT_GROUP_BLOCKS,
         ),
     }
+
+    def validate_options(self, opts):
+        out = super().validate_options(opts)
+        # the codec's own validator: a bad setting fails here, with the
+        # codec's message, not later inside a compress call
+        _core.CompressorConfig(
+            mode=out["mode"], block=out["block"],
+            predictor_ndim=out["predictor_ndim"], group_blocks=out["group_blocks"],
+        )
+        return out
+
+    def chunk_spans(self, shape, opts, chunk_elems):
+        """Blocks never cross a chunk and the bound is resolved once for the
+        whole field, so chunks decode bit-identically to the whole-field
+        stream.  The 1-D predictor splits the flattened field on checksum-
+        group boundaries (``"flat"``); 2-D/3-D split axis-0 rows on Lorenzo
+        tile boundaries (``"rows"``), so no tile straddles a chunk."""
+        nelems = math.prod(int(s) for s in shape)
+        if nelems == 0:
+            raise InvalidInputError("cannot chunk an empty field")
+        block, ndim = opts["block"], opts["predictor_ndim"]
+        if ndim == 1:
+            return _stream.chunk_spans(nelems, chunk_elems, block, opts["group_blocks"]), "flat"
+        if len(shape) != ndim:
+            raise InvalidInputError(
+                f"{ndim}-D predictor requires a {ndim}-D field, got shape {tuple(shape)}"
+            )
+        t = round(block ** (1.0 / ndim))
+        rows_per = max(chunk_elems // (nelems // shape[0]) // t, 1) * t
+        return [(lo, min(lo + rows_per, shape[0])) for lo in range(0, shape[0], rows_per)], "rows"
 
     def _compress(self, arr, opts):
         return _core.CuSZp2(
@@ -82,7 +111,9 @@ class CuSZpPlugin(CompressorPlugin):
     options = {"rel": _REL, "abs": _ABS}
 
     def _compress(self, arr, opts):
-        return _CuSZp(_bound(opts)).compress(arr)
+        from ..baselines.cuszp import CuSZp
+
+        return CuSZp(_bound(opts)).compress(arr)
 
     def _decompress(self, payload):
         return _core.decompress(payload)
@@ -93,7 +124,7 @@ class FZGPUPlugin(CompressorPlugin):
 
     name = "fzgpu"
     description = "FZ-GPU baseline (Lorenzo + bitshuffle + zero-word removal)"
-    magic = _fzgpu.MAGIC
+    magic = b"FZG1"
     preserves_shape = True
     options = {
         "rel": _REL,
@@ -105,10 +136,14 @@ class FZGPUPlugin(CompressorPlugin):
     }
 
     def _compress(self, arr, opts):
-        return _fzgpu.FZGPU(_bound(opts), predictor_ndim=opts["predictor_ndim"]).compress(arr)
+        from ..baselines.fzgpu import FZGPU
+
+        return FZGPU(_bound(opts), predictor_ndim=opts["predictor_ndim"]).compress(arr)
 
     def _decompress(self, payload):
-        return _fzgpu.FZGPU(ErrorBound.relative(1e-3)).decompress(payload)
+        from ..baselines.fzgpu import FZGPU
+
+        return FZGPU(ErrorBound.relative(1e-3)).decompress(payload)
 
 
 class CuZFPPlugin(CompressorPlugin):
@@ -118,7 +153,7 @@ class CuZFPPlugin(CompressorPlugin):
 
     name = "cuzfp"
     description = "cuZFP baseline (fixed-rate ZFP; rate picks the ratio, no bound)"
-    magic = _zfp.MAGIC
+    magic = b"ZFP1"
     preserves_shape = True
     bounded = False
     heavy = True
@@ -130,10 +165,14 @@ class CuZFPPlugin(CompressorPlugin):
     }
 
     def _compress(self, arr, opts):
-        return _zfp.CuZFP(rate=opts["rate"]).compress(arr)
+        from ..baselines.zfp import CuZFP
+
+        return CuZFP(rate=opts["rate"]).compress(arr)
 
     def _decompress(self, payload):
-        return _zfp.CuZFP(rate=8).decompress(payload)
+        from ..baselines.zfp import CuZFP
+
+        return CuZFP(rate=8).decompress(payload)
 
 
 class _HybridPlugin(CompressorPlugin):
@@ -142,34 +181,39 @@ class _HybridPlugin(CompressorPlugin):
 
     preserves_shape = False
     options = {"rel": _REL, "abs": _ABS}
-    _impl = None  # codec class taking (error_bound)
+    _impl = ""  # name of the repro.baselines.hybrid class taking (error_bound)
+
+    def _codec(self, error_bound, **kwargs):
+        from ..baselines import hybrid
+
+        return getattr(hybrid, self._impl)(error_bound, **kwargs)
 
     def _compress(self, arr, opts):
-        return self._impl(_bound(opts)).compress(arr)
+        return self._codec(_bound(opts)).compress(arr)
 
     def _decompress(self, payload):
-        return self._impl(ErrorBound.relative(1e-3)).decompress(payload)
+        return self._codec(ErrorBound.relative(1e-3)).decompress(payload)
 
 
 class CuSZPlugin(_HybridPlugin):
     name = "cusz"
     description = "cuSZ baseline (global Lorenzo + canonical Huffman)"
     magic = b"CSZ1"
-    _impl = _CuSZ
+    _impl = "CuSZ"
 
 
 class CuSZxPlugin(_HybridPlugin):
     name = "cuszx"
     description = "cuSZx baseline (constant-block detection + Plain-FLE)"
     magic = b"CSZX"
-    _impl = _CuSZx
+    _impl = "CuSZx"
 
 
 class MGARDPlugin(_HybridPlugin):
     name = "mgard"
     description = "MGARD-like baseline (multilevel interpolation + Huffman)"
     magic = b"MGD1"
-    _impl = _MGARDLike
+    _impl = "MGARDLike"
     options = {
         "rel": _REL,
         "abs": _ABS,
@@ -179,7 +223,7 @@ class MGARDPlugin(_HybridPlugin):
     }
 
     def _compress(self, arr, opts):
-        return _MGARDLike(_bound(opts), min_coarse=opts["min_coarse"]).compress(arr)
+        return self._codec(_bound(opts), min_coarse=opts["min_coarse"]).compress(arr)
 
 
 def register_builtin_plugins() -> None:

@@ -11,6 +11,10 @@ six ``repro.baselines`` -- answers the same contract:
   :class:`~repro.core.errors.CuSZp2Error` subclasses.
 * ``decompress(stream) -> ndarray``: restores the original dtype *and*
   shape, again answering only classified errors.
+* ``chunk_spans(shape, opts, chunk_elems) -> (spans, axis)``: where a
+  field may be split into independently compressed chunks.  The plugin
+  owns its stream format, so it alone knows which splits decode
+  bit-identically; the default keeps the field whole.
 
 Codecs whose own container does not record the caller's shape (the hybrid
 baselines store a flat element count) are wrapped in a small shape
@@ -23,6 +27,7 @@ speak one dispatch path.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
@@ -209,6 +214,22 @@ class CompressorPlugin:
             if key not in out and spec.default is not None:
                 out[key] = spec.default
         return out
+
+    def chunk_spans(
+        self, shape: Tuple[int, ...], opts: Mapping[str, Any], chunk_elems: int
+    ) -> Tuple[List[Tuple[int, int]], str]:
+        """Split plan for a field of ``shape`` compressed under the validated
+        ``opts``, in chunks of about ``chunk_elems`` elements.
+
+        Returns ``(spans, axis)``: ``axis`` is ``"flat"`` (spans are element
+        ranges of the flattened field) or ``"rows"`` (ranges of axis-0
+        rows).  The chunks must decode to exactly the bytes the whole-field
+        stream decodes to, which only the stream format can promise, so the
+        default is one span: the field stays whole.  A plan of more than one
+        span is framed as a ``CSZ2CHNK`` container, whose manifest records
+        cuSZp2's settings; only the core codec splits today.
+        """
+        return [(0, math.prod(int(s) for s in shape))], "flat"
 
     # -- template methods ----------------------------------------------------
 

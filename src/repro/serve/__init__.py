@@ -6,7 +6,8 @@ checkpointing and compression-enabled collectives).  This package turns
 the library codec into that pipeline component:
 
 * :mod:`~repro.serve.chunked` -- bounded-memory chunked streaming engine
-  (group-aligned, bit-identical to the monolithic codec);
+  over the :mod:`repro.codecs` plugin contract (split where the plugin
+  says, bit-identical to the monolithic codec);
 * :mod:`~repro.serve.pool` -- thread/process worker pool with warmup,
   crash recovery, and graceful shutdown;
 * :mod:`~repro.serve.scheduler` -- bounded queue, priority lanes,
@@ -42,7 +43,6 @@ from .chunked import (
     decompress_chunked,
     is_chunked,
     is_raw,
-    plan_chunks,
     raw_from_bytes,
     raw_to_bytes,
 )
@@ -128,7 +128,6 @@ __all__ = [
     "content_key",
     "decompress_chunked",
     "is_chunked",
-    "plan_chunks",
     "register_task",
     "registered_tasks",
     "unregister_task",

@@ -78,7 +78,7 @@ def run_serve_bench(cfg: BenchConfig) -> dict:
             workers=cfg.workers,
             backend=cfg.backend,
             transport=cfg.transport,
-            mode=cfg.mode,
+            codec_opts=(("mode", cfg.mode),),
             chunk_bytes=int(cfg.chunk_mb * (1 << 20)),
         )
     )

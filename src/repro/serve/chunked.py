@@ -1,8 +1,11 @@
-"""Chunked streaming engine: bounded-memory codec over group-aligned chunks.
+"""Chunked streaming engine: bounded-memory codec over independent chunks.
 
-Arbitrarily large fields are split into chunks whose boundaries land on
-checksum-group boundaries (:func:`repro.core.stream.chunk_spans`), and each
-chunk is compressed into its *own* self-contained format-v2 stream.  Three
+Every codec runs here through the :mod:`repro.codecs` plugin contract
+alone.  The plugin owns its stream format, so it also owns the rule for
+splitting a field (:meth:`~repro.codecs.CompressorPlugin.chunk_spans`):
+the core codec splits on checksum-group boundaries (1-D predictor) or
+Lorenzo-tile rows (2-D/3-D), every other codec keeps the field whole.
+Each chunk is compressed into its *own* self-contained stream.  Three
 properties follow:
 
 * **bounded memory** -- compression touches one chunk of input and one
@@ -21,6 +24,9 @@ The chunk streams plus a manifest serialize into a ``CSZ2CHNK`` container
 (:meth:`ChunkedStream.to_bytes`) that round-trips through files and
 sockets; each chunk remains individually decodable (and individually
 retransmittable, see :func:`repro.collective.send_resilient_chunked`).
+:func:`resolve_options`, :func:`plan` and :func:`assemble` are shared
+with :class:`~repro.serve.service.CompressionService`, so a service
+request and :func:`compress_chunked` produce the same bytes.
 """
 
 from __future__ import annotations
@@ -29,13 +35,13 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import codecs as _codecs
 from repro.core import stream as _stream
-from repro.core.compressor import DEFAULT_BLOCK, CompressorConfig, compress as _compress
-from repro.core.compressor import decompress as _decompress
+from repro.core.compressor import DEFAULT_BLOCK
 from repro.core.errors import InvalidInputError, StreamFormatError
 from repro.core.quantize import ErrorBound, validate_input
 from repro.obs import trace as obs_trace
@@ -55,47 +61,6 @@ _RAW_SIZE = struct.calcsize(_RAW_FMT)
 #: Default chunk size: large enough to amortize per-chunk header overhead
 #: to noise, small enough that a handful of in-flight chunks stay cheap.
 DEFAULT_CHUNK_BYTES = 32 << 20
-
-
-# ---------------------------------------------------------------------------
-# Planning
-# ---------------------------------------------------------------------------
-
-def plan_chunks(
-    shape: Tuple[int, ...],
-    itemsize: int,
-    predictor_ndim: int = 1,
-    block: int = DEFAULT_BLOCK,
-    group_blocks: int = _stream.DEFAULT_GROUP_BLOCKS,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    chunk_elems: Optional[int] = None,
-) -> Tuple[List[Tuple[int, int]], str]:
-    """Chunk spans for a field of ``shape``.
-
-    Returns ``(spans, axis)`` where ``axis`` is ``"flat"`` (spans are
-    element ranges of the flattened field; 1-D predictor) or ``"rows"``
-    (spans are ranges of axis-0 rows aligned to the Lorenzo tile, so 2-D/
-    3-D tiles never straddle a chunk).
-    """
-    nelems = 1
-    for s in shape:
-        nelems *= int(s)
-    if nelems == 0:
-        raise InvalidInputError("cannot chunk an empty field")
-    if chunk_elems is None:
-        chunk_elems = max(chunk_bytes // itemsize, 1)
-    if predictor_ndim == 1:
-        return _stream.chunk_spans(nelems, chunk_elems, block, group_blocks), "flat"
-    if len(shape) != predictor_ndim:
-        raise InvalidInputError(
-            f"{predictor_ndim}-D predictor requires a {predictor_ndim}-D field, "
-            f"got shape {tuple(shape)}"
-        )
-    t = round(block ** (1.0 / predictor_ndim))
-    rowsize = nelems // shape[0]
-    rows_per = max(chunk_elems // rowsize // t, 1) * t
-    spans = [(lo, min(lo + rows_per, shape[0])) for lo in range(0, shape[0], rows_per)]
-    return spans, "rows"
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +354,14 @@ def raw_from_bytes(buf) -> np.ndarray:
 
 @register_task("chunk.compress")
 def compress_chunk(arg: dict) -> np.ndarray:
-    """Compress one chunk under an already-resolved ABS bound."""
+    """Compress one chunk (or a whole field) through its codec plugin.
+    The task dict is ``{"data": ndarray, "codec": name, "opts": {...}}``
+    with the options from :func:`resolve_options`."""
     data = arg["data"]
-    with obs_trace.maybe_span("chunk.compress", bytes_in=int(data.nbytes)) as sp:
-        out = _compress(
-            data,
-            abs=arg["eb_abs"],
-            mode=arg.get("mode", "outlier"),
-            block=arg.get("block", DEFAULT_BLOCK),
-            predictor_ndim=arg.get("predictor_ndim", 1),
-            group_blocks=arg.get("group_blocks", _stream.DEFAULT_GROUP_BLOCKS),
-        )
+    with obs_trace.maybe_span(
+        "chunk.compress", bytes_in=int(data.nbytes), codec=arg["codec"]
+    ) as sp:
+        out = _codecs.resolve(arg["codec"]).compress(data, **arg["opts"])
         if sp is not None:
             sp.set(bytes_out=int(out.size))
         return out
@@ -407,79 +369,101 @@ def compress_chunk(arg: dict) -> np.ndarray:
 
 @register_task("chunk.decompress")
 def decompress_chunk(arg) -> np.ndarray:
-    """Decompress one self-contained chunk stream (or decode a
-    raw-passthrough chunk emitted by the degradation chain); ``arg`` is
-    the stream bytes.
+    """Decompress one self-contained stream (or decode a raw-passthrough
+    chunk emitted by the degradation chain); ``arg`` is the stream bytes.
 
-    Streams that are neither raw containers nor core CSZ2 sniff through
-    the :mod:`repro.codecs` plugin registry, so a service decodes any
-    registered codec's output without being told which codec made it."""
+    Streams sniff through the :mod:`repro.codecs` plugin registry, so a
+    service decodes any registered codec's output without being told
+    which codec made it."""
     nbytes = int(arg.size) if isinstance(arg, np.ndarray) else len(arg)
     with obs_trace.maybe_span("chunk.decompress", bytes_in=nbytes) as sp:
-        if is_raw(arg):
-            out = raw_from_bytes(arg)
-        elif _is_csz2(arg):
-            out = _decompress(arg)
-        else:
-            from repro import codecs as _codecs
-
-            out = _codecs.decode(arg)
-        if sp is not None:
-            sp.set(bytes_out=int(out.nbytes))
-        return out
-
-
-def _is_csz2(buf) -> bool:
-    head = buf[:4] if isinstance(buf, np.ndarray) else np.frombuffer(
-        bytes(buf[:4]), dtype=np.uint8
-    )
-    return head.size >= 4 and bytes(head[:4]) == _stream.MAGIC
-
-
-@register_task("codec.compress")
-def codec_compress(arg: dict) -> np.ndarray:
-    """Compress through a registered :mod:`repro.codecs` plugin.  The task
-    dict is ``{"data": ndarray, "codec": name, "opts": {...}}`` with the
-    error bound (for bounded plugins) already inside ``opts``."""
-    from repro import codecs as _codecs
-
-    data = arg["data"]
-    with obs_trace.maybe_span(
-        "codec.compress", bytes_in=int(data.nbytes), codec=arg["codec"]
-    ) as sp:
-        out = _codecs.encode(data, arg["codec"], **arg.get("opts", {}))
-        if sp is not None:
-            sp.set(bytes_out=int(out.size))
-        return out
-
-
-@register_task("codec.decompress")
-def codec_decompress(arg) -> np.ndarray:
-    """Decode through the plugin registry (sniffing unless ``codec`` is
-    forced).  ``arg`` is the stream bytes or ``{"stream": ..., "codec": ...}``."""
-    from repro import codecs as _codecs
-
-    codec = None
-    if isinstance(arg, dict):
-        codec = arg.get("codec")
-        arg = arg["stream"]
-    nbytes = int(arg.size) if isinstance(arg, np.ndarray) else len(arg)
-    with obs_trace.maybe_span("codec.decompress", bytes_in=nbytes) as sp:
-        out = _codecs.decode(arg, codec=codec)
+        out = raw_from_bytes(arg) if is_raw(arg) else _codecs.decode(arg)
         if sp is not None:
             sp.set(bytes_out=int(out.nbytes))
         return out
 
 
 # ---------------------------------------------------------------------------
-# Engine entry points
+# Engine: option resolution, planning, assembly
 # ---------------------------------------------------------------------------
 
-def _chunk_views(data: np.ndarray, spans, axis: str):
+def resolve_options(
+    plugin,
+    data: np.ndarray,
+    rel: Optional[float],
+    abs: Optional[float],  # noqa: A002 - mirrors repro.compress
+    opts,
+) -> Dict[str, Any]:
+    """The validated options every chunk of ``data`` is compressed with.
+
+    Merges the error bound into ``opts`` (bounded plugins only: a
+    fixed-rate plugin ignores it), validates them against the
+    plugin's schema, and checks the input with one min/max scan.  A REL
+    bound is resolved once, against the *whole* field, into ABS: every
+    chunk quantizes with the same step, so the chunks decode to exactly
+    the bytes the whole-field stream would."""
+    opts = dict(opts)
+    if plugin.bounded:
+        if (rel is None) == (abs is None):
+            raise InvalidInputError("specify exactly one of rel= or abs=")
+        opts["rel" if rel is not None else "abs"] = rel if rel is not None else abs
+    opts = plugin.validate_options(opts)
+    flat, lo, hi = validate_input(data, return_minmax=True)
+    if plugin.bounded:
+        eb = (
+            ErrorBound.relative(opts.pop("rel")) if "rel" in opts
+            else ErrorBound.absolute(opts["abs"])
+        )
+        opts["abs"] = eb.resolve(flat, (lo, hi))
+    return opts
+
+
+def plan(
+    plugin,
+    data: np.ndarray,
+    opts: Dict[str, Any],
+    chunk_bytes: int,
+    chunk_elems: Optional[int] = None,
+) -> Tuple[List[Tuple[int, int]], str]:
+    """``(spans, axis)`` from the plugin's split rule, for chunks of
+    ``chunk_elems`` elements (default: ``chunk_bytes`` of input)."""
+    if chunk_elems is None:
+        chunk_elems = max(chunk_bytes // data.dtype.itemsize, 1)
+    return plugin.chunk_spans(tuple(data.shape), opts, chunk_elems)
+
+
+def chunk_views(data: np.ndarray, spans, axis: str) -> List[np.ndarray]:
     if axis == "flat":
         flat = data.reshape(-1)
         return [flat[lo:hi] for lo, hi in spans]
     return [data[lo:hi] for lo, hi in spans]
+
+
+def assemble(data: np.ndarray, opts: Dict[str, Any], spans, axis: str, streams) -> ChunkedStream:
+    """Frame the chunk ``streams`` of ``data`` -- compressed under ``opts``
+    over ``spans`` -- as one container; raw-passthrough chunks (the
+    degradation floor) are flagged in their manifest entries."""
+    entries = tuple(
+        ChunkEntry(
+            nelems=hi - lo,
+            nbytes=int(s.size),
+            crc32=zlib.crc32(s.tobytes()) & 0xFFFFFFFF,
+            raw=is_raw(s),
+        )
+        for (lo, hi), s in zip(spans, streams)
+    )
+    manifest = ChunkManifest(
+        shape=tuple(data.shape),
+        dtype=np.dtype(data.dtype).name,
+        mode=opts["mode"],
+        predictor_ndim=opts["predictor_ndim"],
+        block=opts["block"],
+        group_blocks=opts["group_blocks"],
+        eb_abs=opts["abs"],
+        axis=axis,
+        entries=entries,
+    )
+    return ChunkedStream(manifest, streams)
 
 
 def compress_chunked(
@@ -502,61 +486,21 @@ def compress_chunked(
     :class:`~repro.serve.pool.WorkerPool` to compress chunks in parallel.
     """
     data = np.asarray(data)
-    # the codec's own validator, before planning: a bad setting is an
-    # InvalidInputError whatever the field size
-    CompressorConfig(
-        mode=mode, block=block, predictor_ndim=predictor_ndim, group_blocks=group_blocks
-    )
-    if (rel is None) == (abs is None):
-        raise InvalidInputError("specify exactly one of rel= or abs=")
-    eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
-    eb_abs = eb.resolve(validate_input(data))
-
-    spans, axis = plan_chunks(
-        data.shape,
-        data.dtype.itemsize,
-        predictor_ndim=predictor_ndim,
-        block=block,
-        group_blocks=group_blocks,
-        chunk_bytes=chunk_bytes,
-        chunk_elems=chunk_elems,
-    )
+    plugin = _codecs.resolve(_codecs.DEFAULT_CODEC)
+    opts = resolve_options(plugin, data, rel, abs, {
+        "mode": mode, "block": block,
+        "predictor_ndim": predictor_ndim, "group_blocks": group_blocks,
+    })
+    spans, axis = plan(plugin, data, opts, chunk_bytes, chunk_elems)
     args = [
-        {
-            "data": view,
-            "eb_abs": eb_abs,
-            "mode": mode,
-            "block": block,
-            "predictor_ndim": predictor_ndim,
-            "group_blocks": group_blocks,
-        }
-        for view in _chunk_views(data, spans, axis)
+        {"data": view, "codec": plugin.name, "opts": opts}
+        for view in chunk_views(data, spans, axis)
     ]
     if pool is not None:
         streams = pool.map("chunk.compress", args)
     else:
         streams = [compress_chunk(a) for a in args]
-
-    entries = tuple(
-        ChunkEntry(
-            nelems=hi - lo,
-            nbytes=int(s.size),
-            crc32=zlib.crc32(s.tobytes()) & 0xFFFFFFFF,
-        )
-        for (lo, hi), s in zip(spans, streams)
-    )
-    manifest = ChunkManifest(
-        shape=tuple(data.shape),
-        dtype=np.dtype(data.dtype).name,
-        mode=mode,
-        predictor_ndim=predictor_ndim,
-        block=block,
-        group_blocks=group_blocks,
-        eb_abs=eb_abs,
-        axis=axis,
-        entries=entries,
-    )
-    return ChunkedStream(manifest, streams)
+    return assemble(data, opts, spans, axis, streams)
 
 
 def decompress_chunked(obj, pool=None) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 :class:`CompressionService` is the piece a training stack embeds: submit
 arrays, get futures for compressed bytes; submit compressed bytes, get
-futures for arrays.  Internally a request either rides the scheduler's
-micro-batching path (small arrays) or fans out as independent group-aligned
-chunks (large arrays), and decode results are served from a content-hashed
-LRU when the same stream is requested twice.
+futures for arrays.  Every codec takes one path, the :mod:`repro.codecs`
+plugin contract: a request either rides the scheduler's micro-batching
+path as one task (small arrays, or a plugin that keeps the field whole)
+or fans out as the independent chunks its plugin plans (large arrays),
+and decode results are served from a content-hashed LRU when the same
+stream is requested twice.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro import codecs as _codecs
 from repro.core import stream as _stream
-from repro.core.compressor import DEFAULT_BLOCK, CompressorConfig
-from repro.core.errors import IntegrityError, InvalidInputError
-from repro.core.quantize import ErrorBound, validate_input
+from repro.core.errors import IntegrityError
 from repro.obs.trace import TraceContext, Tracer
 
 from . import chunked as _chunked
@@ -43,16 +44,15 @@ class ServiceConfig:
     shm_slots: Optional[int] = None  # arena slots (None: 4*workers+8)
     shm_slot_bytes: int = 8 << 20  # bytes per arena slot
     shm_min_bytes: Optional[int] = None  # below this, pickle anyway
-    mode: str = "outlier"
-    block: int = DEFAULT_BLOCK
-    group_blocks: int = _stream.DEFAULT_GROUP_BLOCKS
-    #: Compressor plugin (repro.codecs registry name).  The default keeps
-    #: the golden CSZ2 chunked/resilient path; any other name routes
-    #: requests through the plugin's worker task.  Decoding always sniffs,
-    #: so a service decompresses any registered codec's streams.
-    codec: str = "cuszp2"
-    #: Extra plugin options as ``(name, value)`` pairs (kept a tuple so the
-    #: frozen config stays hashable), e.g. ``(("rate", 16.0),)`` for cuzfp.
+    #: Compressor plugin (repro.codecs registry name).  Every codec runs
+    #: through the same tasks, resilience chain and transport; fan-out
+    #: follows the plugin's ``chunk_spans``.  Decoding always sniffs, so a
+    #: service decompresses any registered codec's streams.
+    codec: str = _codecs.DEFAULT_CODEC
+    #: Plugin options as ``(name, value)`` pairs (kept a tuple so the
+    #: frozen config stays hashable), validated against the plugin's
+    #: schema: e.g. ``(("mode", "plain"), ("block", 64))`` for cuszp2,
+    #: ``(("rate", 16.0),)`` for cuzfp.
     codec_opts: tuple = ()
     chunk_bytes: int = _chunked.DEFAULT_CHUNK_BYTES  # fan-out threshold
     cache_bytes: int = 256 << 20
@@ -76,7 +76,7 @@ class ServiceConfig:
     fallback_workers: Optional[int] = None  # None: 2 if backend=="process" else 0
     degrade_inline: bool = True  # inline-codec tier
     degrade_raw: bool = True  # raw-passthrough floor (compress only)
-    validate_results: bool = True  # CRC-verify compressed ship-backs
+    validate_results: bool = True  # CRC-verify CSZ2 ship-backs
     resilience_seed: int = 0  # deterministic backoff jitter
     # -- autoscaling (serve/autoscale.py) ------------------------------------
     autoscale: bool = False  # start an Autoscaler over the pool
@@ -89,8 +89,8 @@ class ServiceConfig:
 
 
 def _verify_stream_result(out) -> None:
-    """Router validator: CRC-check a compressed ship-back without
-    decoding it (catches results corrupted in transit / by chaos)."""
+    """Router validator: CRC-check a CSZ2 ship-back without decoding it
+    (catches results corrupted in transit / by chaos)."""
     from repro.core.integrity import verify as verify_stream
 
     report = verify_stream(out)
@@ -264,9 +264,17 @@ class CompressionService:
         priority: str = "bulk",
         timeout_s: Optional[float] = None,
     ) -> PoolFuture:
-        """Submit a compression request; the future resolves to the
-        compressed bytes (a single v2 stream below the chunk threshold, a
-        ``CSZ2CHNK`` container above it).
+        """Submit a compression request through ``config.codec``; the
+        future resolves to the compressed bytes: the codec's own stream
+        when the request is one task, a ``CSZ2CHNK`` container when it
+        fans out as chunks (above ``chunk_bytes``, where the plugin's
+        ``chunk_spans`` plans more than one chunk).
+
+        ``rel``/``abs`` is the error bound of a bounded plugin (a
+        fixed-rate plugin ignores it).  ``mode`` overrides the plugin's
+        ``mode`` option for this request; a plugin without that option
+        rejects it.  Options are validated and the bound resolved on the
+        caller's thread, so a bad request raises here, whatever its size.
 
         ``timeout_s`` (default: ``config.deadline_s``) bounds the request
         end to end: expired work is shed, overrunning workers are
@@ -276,30 +284,25 @@ class CompressionService:
         deadline or fail."""
         cfg = self.config
         data = np.asarray(data)
-        if cfg.codec != "cuszp2":
-            return self._compress_codec(
-                data, rel=rel, abs=abs, priority=priority, timeout_s=timeout_s
-            )
-        mode = mode if mode is not None else cfg.mode
         # the span opens before validation, so the input scan and bound
         # resolution are inside the request's traced time
         span = (
             self.tracer.begin(
-                "service.compress", bytes_in=int(data.nbytes), mode=mode,
+                "service.compress", bytes_in=int(data.nbytes), codec=cfg.codec,
                 priority=priority,
             )
             if self.tracer is not None
             else None
         )
         try:
-            # validate the codec settings here, on the caller's thread and
-            # before any task or chunk plan, as the plugin path validates
-            # its options: the error must not depend on the input size
-            CompressorConfig(mode=mode, block=cfg.block, group_blocks=cfg.group_blocks)
-            if (rel is None) == (abs is None):
-                raise InvalidInputError("specify exactly one of rel= or abs=")
-            eb = ErrorBound.relative(rel) if rel is not None else ErrorBound.absolute(abs)
-            eb_abs = eb.resolve(validate_input(data))
+            plugin = _codecs.resolve(cfg.codec)
+            opts = dict(cfg.codec_opts)
+            if mode is not None:
+                opts["mode"] = mode
+            opts = _chunked.resolve_options(plugin, data, rel, abs, opts)
+            spans = None
+            if data.nbytes > cfg.chunk_bytes:
+                spans, axis = _chunked.plan(plugin, data, opts, cfg.chunk_bytes)
         except BaseException:
             if span is not None:
                 self.tracer.end(span, ok=False)
@@ -309,156 +312,37 @@ class CompressionService:
         self.stats.counter("service.bytes_in").inc(data.nbytes)
         trace = TraceContext(self.tracer, span) if span is not None else None
         deadline = self._deadline(timeout_s)
-        validator = _verify_stream_result if cfg.validate_results else None
-
-        if data.nbytes <= cfg.chunk_bytes:
-            arg = {
-                "data": data,
-                "eb_abs": eb_abs,
-                "mode": mode,
-                "block": cfg.block,
-                "group_blocks": cfg.group_blocks,
-            }
-            master = self._submit(
-                "chunk.compress", arg, priority=priority, nbytes=data.nbytes,
-                batchable=True, trace=trace, deadline=deadline,
-                validator=validator,
-                raw_fallback=(
-                    (lambda: _chunked.raw_to_bytes(data))
-                    if cfg.degrade_raw else None
-                ),
-            )
-        else:
-            spans, axis = _chunked.plan_chunks(
-                data.shape,
-                data.dtype.itemsize,
-                block=cfg.block,
-                group_blocks=cfg.group_blocks,
-                chunk_bytes=cfg.chunk_bytes,
-            )
-            views = _chunked._chunk_views(data, spans, axis)
-            futures = [
-                self._submit(
-                    "chunk.compress",
-                    {
-                        "data": view,
-                        "eb_abs": eb_abs,
-                        "mode": mode,
-                        "block": cfg.block,
-                        "group_blocks": cfg.group_blocks,
-                    },
-                    priority=priority,
-                    nbytes=view.nbytes,
-                    batchable=False,
-                    trace=trace,
-                    deadline=deadline,
-                    validator=validator,
-                    # per-chunk raw floor: a sick fleet degrades only the
-                    # chunks it failed, flagged per-entry in the manifest
-                    raw_fallback=(
-                        (lambda view=view: _chunked.raw_to_bytes(view))
-                        if cfg.degrade_raw else None
-                    ),
-                )
-                for view in views
-            ]
-
-            def assemble(streams):
-                import zlib
-
-                entries = tuple(
-                    _chunked.ChunkEntry(
-                        nelems=hi - lo,
-                        nbytes=int(s.size),
-                        crc32=zlib.crc32(s.tobytes()) & 0xFFFFFFFF,
-                        raw=_chunked.is_raw(s),
-                    )
-                    for (lo, hi), s in zip(spans, streams)
-                )
-                manifest = _chunked.ChunkManifest(
-                    shape=tuple(data.shape),
-                    dtype=np.dtype(data.dtype).name,
-                    mode=mode,
-                    predictor_ndim=1,
-                    block=cfg.block,
-                    group_blocks=cfg.group_blocks,
-                    eb_abs=eb_abs,
-                    axis=axis,
-                    entries=entries,
-                )
-                return _chunked.ChunkedStream(manifest, streams).to_bytes()
-
-            master = _gather(futures, assemble)
-
-        def account(f: PoolFuture) -> None:
-            self.stats.histogram("service.compress_latency_s").observe(
-                time.perf_counter() - t0
-            )
-            err = f.exception()
-            if err is None:
-                self.stats.counter("service.bytes_out").inc(int(f.result().size))
-            if span is not None:
-                self.tracer.end(
-                    span, ok=err is None,
-                    bytes_out=int(f.result().size) if err is None else 0,
-                )
-
-        master.add_done_callback(account)
-        return master
-
-    def _compress_codec(
-        self,
-        data: np.ndarray,
-        rel: Optional[float],
-        abs: Optional[float],  # noqa: A002 - mirrors compress()
-        priority: str,
-        timeout_s: Optional[float],
-    ) -> PoolFuture:
-        """Route a compression request through a non-default plugin
-        (``config.codec``): one ``codec.compress`` task, no chunk fan-out.
-
-        The error bound rides inside the plugin's options (bounded plugins
-        only; fixed-rate plugins like cuzfp ignore it and take their knobs
-        from ``config.codec_opts``).  ``validate_results`` is a CSZ2 CRC
-        check, so it does not apply here; the raw-passthrough degradation
-        floor still does."""
-        cfg = self.config
-        from repro import codecs as _codecs
-
-        plugin = _codecs.resolve(cfg.codec)
-        opts = dict(cfg.codec_opts)
-        if plugin.bounded:
-            if (rel is None) == (abs is None):
-                raise InvalidInputError("specify exactly one of rel= or abs=")
-            opts["rel" if rel is not None else "abs"] = rel if rel is not None else abs
-        # fail fast on the caller's thread: bad options should not cost a
-        # round trip to a worker (the worker re-validates regardless)
-        plugin.validate_options(dict(opts))
-
-        t0 = time.perf_counter()
-        self.stats.counter("service.requests").inc()
-        self.stats.counter("service.bytes_in").inc(data.nbytes)
-        span = (
-            self.tracer.begin(
-                "service.compress", bytes_in=int(data.nbytes), codec=cfg.codec,
-                priority=priority,
-            )
-            if self.tracer is not None
+        # CSZ2 streams carry group CRCs; other formats pass unchecked
+        validator = (
+            _verify_stream_result
+            if cfg.validate_results and plugin.magic == _stream.MAGIC
             else None
         )
-        trace = TraceContext(self.tracer, span) if span is not None else None
-        master = self._submit(
-            "codec.compress",
-            {"data": data, "codec": cfg.codec, "opts": opts},
-            priority=priority,
-            nbytes=data.nbytes,
-            batchable=True,
-            trace=trace,
-            deadline=self._deadline(timeout_s),
-            raw_fallback=(
-                (lambda: _chunked.raw_to_bytes(data)) if cfg.degrade_raw else None
-            ),
-        )
+
+        def submit(part: np.ndarray, batchable: bool) -> PoolFuture:
+            return self._submit(
+                "chunk.compress",
+                {"data": part, "codec": plugin.name, "opts": opts},
+                priority=priority, nbytes=part.nbytes, batchable=batchable,
+                trace=trace, deadline=deadline, validator=validator,
+                # per-chunk raw floor: a sick fleet degrades only the
+                # chunks it failed, flagged per-entry in the manifest
+                raw_fallback=(
+                    (lambda: _chunked.raw_to_bytes(part)) if cfg.degrade_raw else None
+                ),
+            )
+
+        if spans is None or len(spans) == 1:
+            master = submit(data, batchable=True)
+        else:
+            futures = [
+                submit(view, batchable=False)
+                for view in _chunked.chunk_views(data, spans, axis)
+            ]
+            master = _gather(
+                futures,
+                lambda streams: _chunked.assemble(data, opts, spans, axis, streams).to_bytes(),
+            )
 
         def account(f: PoolFuture) -> None:
             self.stats.histogram("service.compress_latency_s").observe(

@@ -1,6 +1,8 @@
 """Registry mechanics: registration, resolution, sniffing, envelopes,
 and the per-plugin option schema."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,35 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="non-empty ASCII"):
             register(Anon())
+
+
+class TestMagic:
+    """Plugins declare their magic as literals (their baseline modules are
+    imported on first use); pin each to the module's own constant and to
+    the streams it writes."""
+
+    def test_magic_matches_the_codec_module(self):
+        from repro.baselines import fzgpu
+        from repro.baselines.zfp import codec as zfp
+        from repro.core import stream
+
+        expected = {
+            "cuszp2": stream.MAGIC, "cuszp": stream.MAGIC,
+            "fzgpu": fzgpu.MAGIC, "cuzfp": zfp.MAGIC,
+        }
+        for name, magic in expected.items():
+            assert codecs.resolve(name).magic == magic, name
+
+    @pytest.mark.parametrize("name", codecs.codec_names())
+    def test_streams_start_with_the_declared_magic(self, walk_f32, name):
+        plugin = codecs.resolve(name)
+        opts = {"rel": 1e-3} if plugin.bounded else {}
+        stream = codecs.encode(walk_f32[:512], name, **opts)
+        if is_envelope(stream):
+            from repro.codecs.plugin import _unwrap_envelope
+
+            stream = _unwrap_envelope(stream)[2]
+        assert bytes(stream[: len(plugin.magic)]) == plugin.magic
 
 
 class TestSniffAndDecode:
@@ -141,6 +172,29 @@ class TestOptionSchema:
     def test_bool_is_not_a_number(self):
         with pytest.raises(InvalidInputError, match="bool"):
             codecs.resolve("cuzfp").validate_options({"rate": True})
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"block": 12}, "block size must be a positive multiple of 8, got 12"),
+            ({"block": 0}, "block size must be a positive multiple of 8, got 0"),
+            (
+                {"group_blocks": 70_000},
+                "group_blocks (blocks per checksum group) must be in [1, 65535], got 70000",
+            ),
+            (
+                {"group_blocks": 0},
+                "group_blocks (blocks per checksum group) must be in [1, 65535], got 0",
+            ),
+            ({"predictor_ndim": 2, "block": 32}, "block=32 is not a perfect 2-D tile"),
+        ],
+        ids=["block12", "block0", "group70000", "group0", "tile"],
+    )
+    def test_core_codec_validates_with_its_own_config(self, setting, message):
+        """cuszp2's options pass through ``CompressorConfig`` at validation
+        time, so a setting the codec would refuse never reaches a worker."""
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            codecs.resolve("cuszp2").validate_options({"rel": 1e-3, **setting})
 
     def test_string_coercion_for_cli_values(self):
         out = codecs.resolve("cuszp2").validate_options(

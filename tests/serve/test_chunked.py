@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import codecs
 from repro.core import compress as mono_compress, decompress as mono_decompress
 from repro.core.errors import InvalidInputError, StreamFormatError
 from repro.core.stream import aligned_chunk_elems, chunk_granule, chunk_spans
@@ -12,8 +13,14 @@ from repro.serve import (
     compress_chunked,
     decompress_chunked,
     is_chunked,
-    plan_chunks,
 )
+
+
+def plan(shape, chunk_elems=1024, **settings):
+    """The core codec's split plan under ``settings`` (schema defaults
+    for the rest, as the engine validates them)."""
+    plugin = codecs.resolve("cuszp2")
+    return plugin.chunk_spans(shape, plugin.validate_options({"abs": 1.0, **settings}), chunk_elems)
 
 
 class TestAlignmentHelpers:
@@ -47,29 +54,30 @@ class TestAlignmentHelpers:
             assert lo % granule == 0
 
     def test_plan_flat(self):
-        spans, axis = plan_chunks(
-            (2600,), 4, block=32, group_blocks=16, chunk_elems=1024
-        )
+        spans, axis = plan((2600,), block=32, group_blocks=16, chunk_elems=1024)
         assert axis == "flat"
         assert spans == [(0, 1024), (1024, 2048), (2048, 2600)]
 
     def test_plan_rows_aligned_to_tile(self):
         # 2-D predictor, block=64 -> 8x8 tiles: row spans are multiples of 8
-        spans, axis = plan_chunks(
-            (40, 50), 4, predictor_ndim=2, block=64, chunk_elems=800
-        )
+        spans, axis = plan((40, 50), predictor_ndim=2, block=64, chunk_elems=800)
         assert axis == "rows"
         assert spans[0][0] == 0 and spans[-1][1] == 40
         for lo, _ in spans[1:]:
             assert lo % 8 == 0
 
     def test_plan_rejects_empty(self):
-        with pytest.raises(InvalidInputError):
-            plan_chunks((0,), 4)
+        with pytest.raises(InvalidInputError, match="empty field"):
+            plan((0,))
 
     def test_plan_rejects_ndim_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            plan_chunks((100,), 4, predictor_ndim=2)
+        with pytest.raises(InvalidInputError, match="requires a 2-D field"):
+            plan((100,), predictor_ndim=2, block=64)
+
+    def test_other_codecs_keep_the_field_whole(self):
+        plugin = codecs.resolve("fzgpu")
+        opts = plugin.validate_options({"abs": 1.0})
+        assert plugin.chunk_spans((40, 50), opts, 16) == ([(0, 2000)], "flat")
 
 
 def _walk(rng, n, dtype):

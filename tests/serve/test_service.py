@@ -125,9 +125,9 @@ class TestLifecycle:
 
 class TestCodecSettingValidation:
     """A bad codec setting raises the same error whatever the input size:
-    every entry point validates through ``CompressorConfig`` on the
-    caller's thread, before it plans chunks or submits a task (a malformed
-    *setting* is not a malformed stream)."""
+    every entry point validates through the plugin (which runs
+    ``CompressorConfig``) on the caller's thread, before it plans chunks or
+    submits a task (a malformed *setting* is not a malformed stream)."""
 
     @pytest.mark.parametrize("entry", ["service", "compress_chunked"])
     @pytest.mark.parametrize("n", [1_000, 300_000])  # below / above chunk_bytes
@@ -155,7 +155,8 @@ class TestCodecSettingValidation:
                 compress_chunked(data, rel=1e-3, chunk_bytes=256 << 10, **setting)
             return
         with CompressionService(
-            workers=1, backend="thread", warmup=False, chunk_bytes=256 << 10, **setting
+            workers=1, backend="thread", warmup=False, chunk_bytes=256 << 10,
+            codec_opts=tuple(setting.items()),
         ) as svc:
             # raised by compress() itself, not delivered through the future
             with pytest.raises(InvalidInputError, match=re.escape(message)):

@@ -1,11 +1,23 @@
-"""ServiceConfig.codec: routing requests through non-default plugins."""
+"""ServiceConfig.codec: every codec, the default included, rides the
+plugin contract through one task pair."""
+
+import asyncio
+import json
 
 import numpy as np
 import pytest
 
 from repro import codecs
 from repro.core.errors import InvalidInputError
+from repro.core.stream import StreamHeader
+from repro.faults.chaos import ChaosConfig, ChaosWorkerPool
+from repro.serve import compress_chunked, is_chunked
 from repro.serve.service import CompressionService, ServiceConfig
+
+from tests.serve.test_http import _frontend, _request
+
+#: (backend, transport) pairs the byte-identity checks run over
+TRANSPORTS = [("thread", "pickle"), ("process", "shm")]
 
 
 @pytest.fixture
@@ -89,3 +101,99 @@ class TestCodecValidation:
             snap = svc.stats_snapshot()
         assert snap["counters"]["service.requests"] >= 1
         assert snap["counters"]["service.bytes_in"] >= field.nbytes
+
+
+class TestCodecSettingsReachTheCodec:
+    """Settings meant for one codec are neither dropped nor accepted by
+    another: the default codec's settings ride ``codec_opts`` and the
+    plugin's schema judges every request."""
+
+    @pytest.mark.parametrize("setting", [("block", 64), ("mode", "plain"), ("group_blocks", 4)])
+    def test_default_codec_honours_codec_opts(self, field, setting):
+        with CompressionService(workers=1, codec_opts=(setting,)) as svc:
+            blob = svc.compress(field, rel=1e-3).result(timeout=30)
+        expected = codecs.encode(field, "cuszp2", rel=1e-3, **dict([setting]))
+        assert blob.tobytes() == expected.tobytes()
+        if setting[0] == "block":
+            assert StreamHeader.unpack(blob).block == 64
+
+    @pytest.mark.parametrize("opt", [("bogus", 1), ("rate", 16.0)])
+    def test_default_codec_rejects_foreign_options(self, field, opt):
+        with CompressionService(workers=1, codec_opts=(opt,)) as svc:
+            with pytest.raises(InvalidInputError, match="has no option"):
+                svc.compress(field, rel=1e-3)
+
+    @pytest.mark.parametrize("codec", ["cuszp", "fzgpu", "cusz", "cuszx", "mgard", "cuzfp"])
+    def test_mode_rejected_by_a_plugin_without_it(self, field, codec):
+        bound = {"rel": 1e-3} if codecs.resolve(codec).bounded else {}
+        with CompressionService(workers=1, codec=codec) as svc:
+            with pytest.raises(InvalidInputError, match="has no option 'mode'"):
+                svc.compress(field, mode="plain", **bound)
+            assert "service.requests" not in svc.stats_snapshot()["counters"]
+
+    @pytest.mark.parametrize("codec", ["cusz", "fzgpu"])
+    def test_http_mode_for_a_plugin_without_it_is_a_client_error(self, codec):
+        async def go(svc):
+            async with _frontend(svc) as fe:
+                return await _request(
+                    fe.port, "POST", "/v1/compress?rel=1e-3&mode=plain",
+                    body=np.linspace(0, 1, 64, dtype=np.float32).tobytes(),
+                )
+
+        with CompressionService(workers=1, codec=codec) as svc:
+            status, _, payload = asyncio.run(go(svc))
+        assert status == 400
+        err = json.loads(payload)
+        assert err["error"] == "client" and "has no option 'mode'" in err["detail"]
+
+    @pytest.mark.parametrize("backend, transport", TRANSPORTS)
+    def test_corrupted_cuszp_result_is_caught_and_retried(self, field, backend, transport):
+        """cuSZp emits CSZ2 streams, so its results are CRC-checked like
+        the core codec's: a result corrupted in transit is retried (here
+        every pool attempt is corrupted, so the inline tier answers)."""
+        chaos = ChaosConfig(seed=3, corrupt_rate=1.0)
+        with CompressionService(
+            workers=1, backend=backend, transport=transport, codec="cuszp",
+            pool_wrapper=lambda pool: ChaosWorkerPool(pool, chaos),
+        ) as svc:
+            blob = svc.compress(field, rel=1e-3).result(timeout=60)
+            counters = svc.stats_snapshot()["counters"]
+        assert blob.tobytes() == codecs.encode(field, "cuszp", rel=1e-3).tobytes()
+        assert counters["resilience.corrupt_results"] >= 1
+
+
+def _plugin_request(name):
+    """(codec_opts, bound) for one request through plugin ``name``."""
+    if codecs.resolve(name).bounded:
+        return (), {"rel": 1e-3}
+    return (("rate", 16.0),), {}
+
+
+class TestServiceAddsNothing:
+    """The service is transport, not format: its bytes are the plugin's
+    bytes, and a fanned-out request is exactly ``compress_chunked``'s
+    container."""
+
+    @pytest.mark.parametrize("backend, transport", TRANSPORTS)
+    @pytest.mark.parametrize("codec", codecs.codec_names())
+    def test_service_stream_is_the_plugin_stream(self, field, codec, backend, transport):
+        opts, bound = _plugin_request(codec)
+        with CompressionService(
+            workers=1, backend=backend, transport=transport, shm_min_bytes=1,
+            codec=codec, codec_opts=opts,
+        ) as svc:
+            blob = svc.compress(field, **bound).result(timeout=60)
+        expected = codecs.encode(field, codec, **dict(opts), **bound)
+        assert blob.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("backend, transport", TRANSPORTS)
+    def test_fanned_out_request_is_the_chunked_container(self, rng, backend, transport):
+        data = np.cumsum(rng.normal(size=300_000)).astype(np.float32)
+        chunk_bytes = 256 << 10
+        with CompressionService(
+            workers=2, backend=backend, transport=transport, chunk_bytes=chunk_bytes,
+        ) as svc:
+            blob = svc.compress(data, rel=1e-3).result(timeout=60)
+        assert is_chunked(blob)
+        expected = compress_chunked(data, rel=1e-3, chunk_bytes=chunk_bytes).to_bytes()
+        assert blob.tobytes() == expected.tobytes()
