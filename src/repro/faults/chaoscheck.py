@@ -118,11 +118,10 @@ class ChaosCheckResult:
                 )
             )
         keys = (
-            "resilience.retries", "resilience.degraded.threads",
-            "resilience.degraded.inline", "resilience.raw_fallbacks",
-            "resilience.breaker.transitions", "pool.watchdog_kills",
-            "pool.worker_crashes", "pool.deadline_sheds",
-            "scheduler.deadline_sheds",
+            "resilience.retries", "resilience.degraded.inline",
+            "resilience.raw_fallbacks", "resilience.breaker.transitions",
+            "pool.watchdog_kills", "pool.worker_crashes",
+            "pool.deadline_sheds", "scheduler.deadline_sheds",
         )
         shown = {k: self.resilience_stats[k] for k in keys
                  if self.resilience_stats.get(k)}

@@ -396,17 +396,19 @@ def resolve_options(
 ) -> Dict[str, Any]:
     """The validated options every chunk of ``data`` is compressed with.
 
-    Merges the error bound into ``opts`` (bounded plugins only: a
-    fixed-rate plugin ignores it), validates them against the
-    plugin's schema, and checks the input with one min/max scan.  A REL
-    bound is resolved once, against the *whole* field, into ABS: every
-    chunk quantizes with the same step, so the chunks decode to exactly
-    the bytes the whole-field stream would."""
+    Merges the error bound into ``opts`` and validates them against the
+    plugin's schema, so a bounded plugin needs exactly one bound and a
+    fixed-rate plugin rejects any (``has no option 'rel'``), as
+    :func:`repro.codecs.encode` does.  Then checks the input with one
+    min/max scan.  A REL bound is resolved once, against the *whole*
+    field, into ABS: every chunk quantizes with the same step, so the
+    chunks decode to exactly the bytes the whole-field stream would."""
     opts = dict(opts)
-    if plugin.bounded:
-        if (rel is None) == (abs is None):
-            raise InvalidInputError("specify exactly one of rel= or abs=")
-        opts["rel" if rel is not None else "abs"] = rel if rel is not None else abs
+    if plugin.bounded and (rel is None) == (abs is None):
+        raise InvalidInputError("specify exactly one of rel= or abs=")
+    for key, value in (("rel", rel), ("abs", abs)):
+        if value is not None:
+            opts[key] = value
     opts = plugin.validate_options(opts)
     flat, lo, hi = validate_input(data, return_minmax=True)
     if plugin.bounded:

@@ -7,7 +7,8 @@ blocking the loop.  The protocol is deliberately small:
 
 * ``POST /v1/compress``   -- body: raw array bytes; headers ``X-Dtype``
   and ``X-Shape`` describe the array, query ``?rel=`` / ``?abs=`` the
-  error bound.  Response body: the compressed CSZ2/CSZ2CHNK stream.
+  error bound (none for a fixed-rate codec).  Response body: the
+  compressed stream.
 * ``POST /v1/decompress`` -- body: a compressed stream.  Response body:
   raw array bytes, with ``X-Dtype`` / ``X-Shape`` echoing the layout.
 * ``GET /v1/stats``       -- JSON snapshot of the service's
@@ -52,6 +53,9 @@ __all__ = ["HttpConfig", "HttpFrontend", "TokenBucket", "parse_hostport"]
 
 _MAX_HEADER_BYTES = 32 << 10
 
+#: ``Retry-After`` hint, in seconds, on a 503 (backpressure, deadline).
+RETRY_AFTER_S = 1.0
+
 
 class _HttpError(Exception):
     """Internal: carries a ready-to-send error response."""
@@ -76,7 +80,6 @@ class HttpConfig:
     tenant_rate: float = 50.0  # tokens/s refill per tenant
     tenant_burst: float = 20.0  # bucket capacity
     default_deadline_ms: Optional[float] = None  # applied when no header
-    retry_after_s: float = 1.0  # hint on 429/503
 
 
 class TokenBucket:
@@ -304,9 +307,9 @@ class HttpFrontend:
     def _classify_exception(self, exc: BaseException) -> _HttpError:
         label = classify_error(exc)
         if isinstance(exc, (DeadlineExceeded, WorkerTimeout)):
-            return _HttpError(503, label, str(exc), self.cfg.retry_after_s)
+            return _HttpError(503, label, str(exc), RETRY_AFTER_S)
         if isinstance(exc, QueueFull):
-            return _HttpError(503, "backpressure", str(exc), self.cfg.retry_after_s)
+            return _HttpError(503, "backpressure", str(exc), RETRY_AFTER_S)
         if isinstance(exc, StreamFormatError):
             # the stream came in the request body: the client's fault
             return _HttpError(400, "client", str(exc))
@@ -347,7 +350,7 @@ class HttpFrontend:
             raise _HttpError(
                 503, "backpressure",
                 f"{self._inflight} requests in flight (cap {self.cfg.max_inflight})",
-                self.cfg.retry_after_s,
+                RETRY_AFTER_S,
             )
         # per-tenant quota
         tenant = headers.get("x-tenant", "default")
@@ -364,7 +367,7 @@ class HttpFrontend:
             self.stats.counter("http.deadline_sheds").inc()
             raise _HttpError(
                 503, "deadline", "deadline expired before processing",
-                self.cfg.retry_after_s,
+                RETRY_AFTER_S,
             )
 
         self._inflight += 1
@@ -429,10 +432,9 @@ class HttpFrontend:
             params[k] = v
         rel = params.get("rel")
         ab = params.get("abs")
-        if (rel is None) == (ab is None):
-            raise _HttpError(
-                400, "client", "specify exactly one of ?rel= or ?abs="
-            )
+        # which bounds a codec takes is the service's call (exactly one
+        # for a bounded plugin, none for a fixed-rate one); its
+        # InvalidInputError is answered as a classified 400
         try:
             return (float(rel) if rel is not None else None,
                     float(ab) if ab is not None else None,

@@ -79,9 +79,18 @@ from .stats import MetricsRegistry
 #: A worker message, a resize or shutdown ends the wait at once; the tick
 #: bounds how late a dead worker, a wedged spawn or an overrun deadline
 #: is noticed, and how long an expired task can sit queued behind busy
-#: workers, so ``watchdog_grace_s`` and deadlines of a fraction of a
+#: workers, so :data:`WATCHDOG_GRACE_S` and deadlines of a fraction of a
 #: second rely on it staying small.
 HOUSEKEEPING_TICK_S = 0.02
+
+#: Slack past a task's deadline before the watchdog reclaims the worker
+#: running it (kills a process worker, abandons a thread worker) and
+#: spawns a replacement.
+WATCHDOG_GRACE_S = 0.05
+
+#: Bytes per slot of the ``transport="shm"`` arena, which has
+#: ``4 * nworkers + 8`` slots.
+SHM_SLOT_BYTES = 8 << 20
 
 
 class PoolClosed(RuntimeError):
@@ -520,10 +529,8 @@ class WorkerPool:
         Restart budget: total worker replacements (crashes plus watchdog
         kills) before the pool declares itself broken.  Default
         ``4 + 2 * nworkers``; chaos campaigns pass something generous.
-    watchdog_grace_s:
-        Slack past a task's deadline before the watchdog reclaims the
-        worker running it (kills a process worker, abandons a thread
-        worker) and spawns a replacement.
+        The watchdog reclaims a worker still running a task
+        :data:`WATCHDOG_GRACE_S` past the task's deadline.
     spawn_timeout_s:
         A worker that has not reported ready this long after spawning is
         presumed wedged at birth (e.g. a fork child deadlocked on a lock
@@ -537,10 +544,10 @@ class WorkerPool:
         ``"shm"`` moves ndarrays through a shared-memory arena and ships
         only descriptors (see :mod:`repro.serve.shm`).  An existing
         :class:`~repro.serve.shm.ShmTransport` instance is accepted too.
-    shm_slots / shm_slot_bytes / shm_min_bytes:
-        Arena shape for ``transport="shm"``: slot count (default
-        ``4 * nworkers + 8``), bytes per slot, and the ndarray size below
-        which pickling is used anyway.
+    shm_min_bytes:
+        With ``transport="shm"``, the ndarray size below which pickling
+        is used anyway.  The arena has ``4 * nworkers + 8`` slots of
+        :data:`SHM_SLOT_BYTES`.
     """
 
     def __init__(
@@ -551,11 +558,8 @@ class WorkerPool:
         max_task_retries: int = 1,
         stats: Optional[MetricsRegistry] = None,
         max_respawns: Optional[int] = None,
-        watchdog_grace_s: float = 0.05,
         spawn_timeout_s: float = 15.0,
         transport="pickle",
-        shm_slots: Optional[int] = None,
-        shm_slot_bytes: int = 8 << 20,
         shm_min_bytes: Optional[int] = None,
     ):
         if nworkers < 1:
@@ -565,14 +569,13 @@ class WorkerPool:
         self.stats = stats if stats is not None else MetricsRegistry()
         self._warmup = warmup
         self._max_task_retries = max_task_retries
-        self._watchdog_grace_s = watchdog_grace_s
         self._spawn_timeout_s = spawn_timeout_s
         from .shm import DEFAULT_MIN_BYTES, make_transport
 
         self._transport = make_transport(
             transport,
-            nslots=shm_slots if shm_slots is not None else 4 * nworkers + 8,
-            slot_bytes=shm_slot_bytes,
+            nslots=4 * nworkers + 8,
+            slot_bytes=SHM_SLOT_BYTES,
             min_bytes=shm_min_bytes if shm_min_bytes is not None else DEFAULT_MIN_BYTES,
         )
         self.transport_name = "shm" if self._transport is not None else "pickle"
@@ -934,7 +937,7 @@ class WorkerPool:
                 elif (
                     w.inflight is not None
                     and w.inflight.deadline is not None
-                    and now >= w.inflight.deadline.at + self._watchdog_grace_s
+                    and now >= w.inflight.deadline.at + WATCHDOG_GRACE_S
                 ):
                     stuck.append(w)
             for w in dead + wedged + stuck:

@@ -22,11 +22,11 @@ Four mechanisms compose into that guarantee:
   the retry budget (and the pool's restart budget) on a sick backend;
   after ``reset_timeout_s`` a half-open probe tests recovery;
 * **graceful degradation** (:class:`ResilientRouter`) -- the tier chain
-  ``process pool -> thread pool -> inline codec -> raw passthrough``
-  keeps answers flowing under total backend failure.  Every compressed
-  tier runs the identical codec, so degradation never changes bytes;
-  the raw floor stores the input uncompressed (lossless, flagged in the
-  container, detected by its own CRC).
+  ``pool -> inline codec -> raw passthrough`` keeps answers flowing
+  under total backend failure.  Both compressed tiers run the identical
+  codec, so degradation never changes bytes; the raw floor stores the
+  input uncompressed (lossless, flagged in the container, detected by
+  its own CRC).
 
 The router is codec-agnostic: it routes named pool tasks, so the same
 machinery serves compression, decompression, and future task types.
@@ -56,7 +56,6 @@ from .pool import (
     UnknownTask,
     WaitTimeout,
     WorkerCrash,
-    WorkerPool,
     _run_task,
 )
 from .stats import MetricsRegistry
@@ -327,13 +326,13 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# Inline runner (tier 3)
+# Inline runner (tier 2)
 # ---------------------------------------------------------------------------
 
 class _InlineRunner:
     """Last-resort same-process executor: one daemon thread, FIFO.
 
-    When every pool tier is down the service still answers -- more
+    When the pool tier is down the service still answers -- more
     slowly, but with the identical codec and therefore identical bytes.
     Jobs whose deadline expires while queued are shed like everywhere
     else.
@@ -440,12 +439,8 @@ class ResilientRouter:
         Per-tier :class:`RetryPolicy`.
     breaker:
         :class:`BreakerConfig` shared by every tier's breaker.
-    fallback_workers:
-        Size of the lazily created thread-backend fallback pool (tier 2).
-        0 disables the tier -- the right choice when the primary backend
-        is already ``"thread"``.
     inline:
-        Enable the inline-codec tier (tier 3).
+        Enable the inline-codec tier (tier 2).
     seed:
         Seed for deterministic backoff jitter.
     """
@@ -456,7 +451,6 @@ class ResilientRouter:
         stats: Optional[MetricsRegistry] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
-        fallback_workers: int = 0,
         inline: bool = True,
         seed: int = 0,
     ):
@@ -468,15 +462,11 @@ class ResilientRouter:
         self._lock = threading.Lock()
         self._closed = False
         self._timers: set = set()
-        self._fallback_workers = fallback_workers
-        self._fallback_pool: Optional[WorkerPool] = None
         # the runner always exists: it also executes raw_fallback work
         # even when the inline *tier* is disabled
         self._inline = _InlineRunner(self.stats)
 
         self.tiers: List[_Tier] = [_Tier("pool", self._submit_scheduler)]
-        if fallback_workers > 0:
-            self.tiers.append(_Tier("threads", self._submit_fallback))
         if inline:
             self.tiers.append(_Tier("inline", self._submit_inline))
         self.breakers: Dict[str, CircuitBreaker] = {
@@ -513,7 +503,7 @@ class ResilientRouter:
         return flight.future
 
     def close(self) -> None:
-        """Cancel pending retry timers and stop the fallback tiers."""
+        """Cancel pending retry timers and stop the inline runner."""
         with self._lock:
             if self._closed:
                 return
@@ -522,8 +512,6 @@ class ResilientRouter:
         for t in timers:
             t.cancel()
         self._inline.close()
-        if self._fallback_pool is not None:
-            self._fallback_pool.shutdown(wait=False, timeout=5.0)
 
     # -- tier submitters -----------------------------------------------------
 
@@ -533,24 +521,9 @@ class ResilientRouter:
             batchable=fl.batchable, trace=fl.trace, deadline=fl.deadline,
         )
 
-    def _submit_fallback(self, fl: _Flight) -> PoolFuture:
-        pool = self._ensure_fallback_pool()
-        return pool.submit(fl.name, fl.arg, trace=fl.trace, deadline=fl.deadline)
-
     def _submit_inline(self, fl: _Flight) -> PoolFuture:
         name, arg = fl.name, fl.arg
         return self._inline.submit(lambda: _run_task(name, arg), fl.deadline)
-
-    def _ensure_fallback_pool(self) -> WorkerPool:
-        with self._lock:
-            if self._fallback_pool is None:
-                self._fallback_pool = WorkerPool(
-                    nworkers=self._fallback_workers,
-                    backend="thread",
-                    warmup=False,
-                    stats=self.stats,
-                )
-            return self._fallback_pool
 
     # -- routing state machine ----------------------------------------------
 

@@ -89,7 +89,7 @@ class Scheduler:
     def __init__(
         self,
         pool: WorkerPool,
-        max_pending: int = 128,
+        max_pending: int = 256,
         max_inflight: Optional[int] = None,
         batch_max: int = 8,
         batch_bytes: int = 1 << 20,

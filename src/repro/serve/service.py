@@ -25,6 +25,7 @@ from repro.core.errors import IntegrityError
 from repro.obs.trace import TraceContext, Tracer
 
 from . import chunked as _chunked
+from .autoscale import AutoscaleConfig, Autoscaler
 from .cache import DecodeCache, content_key
 from .deadline import Deadline
 from .pool import PoolFuture, WorkerPool
@@ -36,13 +37,14 @@ from .stats import MetricsRegistry
 @dataclass(frozen=True)
 class ServiceConfig:
     """Knobs of a :class:`CompressionService` (see docs/SERVING.md and
-    docs/RESILIENCE.md)."""
+    docs/RESILIENCE.md).  Every other serving value is the default of the
+    component that uses it: the scheduler's queue and batching limits,
+    the pool's shm arena geometry and watchdog grace, the retry and
+    breaker policies, and the autoscaler's watermarks."""
 
     workers: int = 2
     backend: str = "thread"  # "thread" (tests / I/O mixes) | "process" (CPU)
     transport: str = "pickle"  # "pickle" | "shm" (zero-copy, serve/shm.py)
-    shm_slots: Optional[int] = None  # arena slots (None: 4*workers+8)
-    shm_slot_bytes: int = 8 << 20  # bytes per arena slot
     shm_min_bytes: Optional[int] = None  # below this, pickle anyway
     #: Compressor plugin (repro.codecs registry name).  Every codec runs
     #: through the same tasks, resilience chain and transport; fan-out
@@ -56,36 +58,17 @@ class ServiceConfig:
     codec_opts: tuple = ()
     chunk_bytes: int = _chunked.DEFAULT_CHUNK_BYTES  # fan-out threshold
     cache_bytes: int = 256 << 20
-    max_pending: int = 256
-    max_inflight: Optional[int] = None
-    batch_max: int = 8
-    batch_bytes: int = 1 << 20
     warmup: bool = True
     # -- resilience (docs/RESILIENCE.md) ------------------------------------
-    resilience: bool = True  # route via ResilientRouter
     deadline_s: Optional[float] = None  # default per-request budget (None = off)
     max_respawns: Optional[int] = None  # pool restart budget (None = auto)
-    watchdog_grace_s: float = 0.05  # slack past the deadline before a kill
     retry_max_attempts: int = 3  # per tier, first try included
     retry_backoff_s: float = 0.01
-    retry_backoff_max_s: float = 0.25
-    breaker_window: int = 16
-    breaker_min_volume: int = 4
-    breaker_failure_threshold: float = 0.5
     breaker_reset_s: float = 0.5
-    fallback_workers: Optional[int] = None  # None: 2 if backend=="process" else 0
     degrade_inline: bool = True  # inline-codec tier
-    degrade_raw: bool = True  # raw-passthrough floor (compress only)
-    validate_results: bool = True  # CRC-verify CSZ2 ship-backs
-    resilience_seed: int = 0  # deterministic backoff jitter
     # -- autoscaling (serve/autoscale.py) ------------------------------------
     autoscale: bool = False  # start an Autoscaler over the pool
-    autoscale_min_workers: Optional[int] = None  # None: 1
     autoscale_max_workers: Optional[int] = None  # None: 4 * workers
-    autoscale_high_watermark: float = 4.0  # queue depth per worker -> grow
-    autoscale_low_watermark: float = 1.0  # queue depth per worker -> shrink
-    autoscale_cooldown_s: float = 5.0  # min gap between decisions
-    autoscale_poll_s: float = 0.25
 
 
 def _verify_stream_result(out) -> None:
@@ -159,68 +142,45 @@ class CompressionService:
         #: code running on the caller's own thread (cache lookups).
         self.tracer = tracer
         self.stats = MetricsRegistry()
+        # everything that can reject a setting is built before the pool
+        # starts workers, so a bad setting leaks no process, thread or
+        # shm segment
+        self.cache = DecodeCache(cfg.cache_bytes, stats=self.stats)
+        retry = RetryPolicy(
+            max_attempts=cfg.retry_max_attempts, backoff_base_s=cfg.retry_backoff_s
+        )
+        breaker = BreakerConfig(reset_timeout_s=cfg.breaker_reset_s)
+        autoscale_cfg = (
+            AutoscaleConfig(max_workers=cfg.autoscale_max_workers or 4 * cfg.workers)
+            if cfg.autoscale
+            else None
+        )
         self.pool = WorkerPool(
             nworkers=cfg.workers,
             backend=cfg.backend,
             warmup=cfg.warmup,
             stats=self.stats,
             max_respawns=cfg.max_respawns,
-            watchdog_grace_s=cfg.watchdog_grace_s,
             transport=cfg.transport,
-            shm_slots=cfg.shm_slots,
-            shm_slot_bytes=cfg.shm_slot_bytes,
             shm_min_bytes=cfg.shm_min_bytes,
         )
         # pool_wrapper interposes on pool.submit (the chaos harness wraps
         # tasks with fault injectors here); the scheduler and everything
         # above it only ever see the wrapped pool
         sched_pool = pool_wrapper(self.pool) if pool_wrapper is not None else self.pool
-        self.scheduler = Scheduler(
-            sched_pool,
-            max_pending=cfg.max_pending,
-            max_inflight=cfg.max_inflight,
-            batch_max=cfg.batch_max,
-            batch_bytes=cfg.batch_bytes,
+        self.scheduler = Scheduler(sched_pool, stats=self.stats)
+        self.router = ResilientRouter(
+            self.scheduler,
             stats=self.stats,
+            retry=retry,
+            breaker=breaker,
+            inline=cfg.degrade_inline,
         )
-        self.router: Optional[ResilientRouter] = None
-        if cfg.resilience:
-            fallback = cfg.fallback_workers
-            if fallback is None:
-                fallback = 2 if self.pool.backend.name == "process" else 0
-            self.router = ResilientRouter(
-                self.scheduler,
-                stats=self.stats,
-                retry=RetryPolicy(
-                    max_attempts=cfg.retry_max_attempts,
-                    backoff_base_s=cfg.retry_backoff_s,
-                    backoff_max_s=cfg.retry_backoff_max_s,
-                ),
-                breaker=BreakerConfig(
-                    window=cfg.breaker_window,
-                    min_volume=cfg.breaker_min_volume,
-                    failure_threshold=cfg.breaker_failure_threshold,
-                    reset_timeout_s=cfg.breaker_reset_s,
-                ),
-                fallback_workers=fallback,
-                inline=cfg.degrade_inline,
-                seed=cfg.resilience_seed,
-            )
-        self.cache = DecodeCache(cfg.cache_bytes, stats=self.stats)
         self.autoscaler = None
-        if cfg.autoscale:
-            from .autoscale import AutoscaleConfig, Autoscaler
-
+        if autoscale_cfg is not None:
             self.autoscaler = Autoscaler(
                 sched_pool,  # chaos wrapper delegates resize/queue_depth
-                AutoscaleConfig(
-                    min_workers=cfg.autoscale_min_workers or 1,
-                    max_workers=cfg.autoscale_max_workers or 4 * cfg.workers,
-                    high_watermark=cfg.autoscale_high_watermark,
-                    low_watermark=cfg.autoscale_low_watermark,
-                    cooldown_s=cfg.autoscale_cooldown_s,
-                    poll_s=cfg.autoscale_poll_s,
-                ),
+                autoscale_cfg,
                 scheduler=self.scheduler,
                 stats=self.stats,
             ).start()
@@ -229,29 +189,6 @@ class CompressionService:
     def _deadline(self, timeout_s: Optional[float]) -> Optional[Deadline]:
         budget = timeout_s if timeout_s is not None else self.config.deadline_s
         return Deadline.after(budget) if budget is not None else None
-
-    def _submit(
-        self,
-        name,
-        arg,
-        priority,
-        nbytes,
-        batchable,
-        trace,
-        deadline,
-        validator=None,
-        raw_fallback=None,
-    ) -> PoolFuture:
-        if self.router is not None:
-            return self.router.submit(
-                name, arg, deadline=deadline, priority=priority,
-                batchable=batchable, nbytes=nbytes, trace=trace,
-                validator=validator, raw_fallback=raw_fallback,
-            )
-        return self.scheduler.submit(
-            name, arg, priority=priority, nbytes=nbytes, batchable=batchable,
-            trace=trace, deadline=deadline,
-        )
 
     # -- compression --------------------------------------------------------
 
@@ -270,17 +207,19 @@ class CompressionService:
         fans out as chunks (above ``chunk_bytes``, where the plugin's
         ``chunk_spans`` plans more than one chunk).
 
-        ``rel``/``abs`` is the error bound of a bounded plugin (a
-        fixed-rate plugin ignores it).  ``mode`` overrides the plugin's
-        ``mode`` option for this request; a plugin without that option
-        rejects it.  Options are validated and the bound resolved on the
-        caller's thread, so a bad request raises here, whatever its size.
+        ``rel``/``abs`` is the error bound of a bounded plugin, which
+        needs exactly one; a fixed-rate plugin rejects either, as its
+        schema does in :func:`repro.codecs.encode`.  ``mode`` overrides
+        the plugin's ``mode`` option for this request; a plugin without
+        that option rejects it.  Options are validated and the bound
+        resolved on the caller's thread, so a bad request raises here,
+        whatever its size.
 
         ``timeout_s`` (default: ``config.deadline_s``) bounds the request
         end to end: expired work is shed, overrunning workers are
-        reclaimed, and with resilience enabled the degradation chain may
-        answer with a raw-passthrough container (``CSZ2RAW1`` -- lossless,
-        flagged, decodable by :meth:`decompress`) rather than miss the
+        reclaimed, and the degradation chain may answer with a
+        raw-passthrough container (``CSZ2RAW1`` -- lossless, flagged,
+        decodable by :meth:`decompress`) rather than miss the
         deadline or fail."""
         cfg = self.config
         data = np.asarray(data)
@@ -313,23 +252,17 @@ class CompressionService:
         trace = TraceContext(self.tracer, span) if span is not None else None
         deadline = self._deadline(timeout_s)
         # CSZ2 streams carry group CRCs; other formats pass unchecked
-        validator = (
-            _verify_stream_result
-            if cfg.validate_results and plugin.magic == _stream.MAGIC
-            else None
-        )
+        validator = _verify_stream_result if plugin.magic == _stream.MAGIC else None
 
         def submit(part: np.ndarray, batchable: bool) -> PoolFuture:
-            return self._submit(
+            return self.router.submit(
                 "chunk.compress",
                 {"data": part, "codec": plugin.name, "opts": opts},
                 priority=priority, nbytes=part.nbytes, batchable=batchable,
                 trace=trace, deadline=deadline, validator=validator,
                 # per-chunk raw floor: a sick fleet degrades only the
                 # chunks it failed, flagged per-entry in the manifest
-                raw_fallback=(
-                    (lambda: _chunked.raw_to_bytes(part)) if cfg.degrade_raw else None
-                ),
+                raw_fallback=lambda: _chunked.raw_to_bytes(part),
             )
 
         if spans is None or len(spans) == 1:
@@ -410,7 +343,7 @@ class CompressionService:
         if _chunked.is_chunked(buf):
             chunks = _chunked.ChunkedStream.from_bytes(buf)
             futures = [
-                self._submit(
+                self.router.submit(
                     "chunk.decompress", c, priority=priority,
                     nbytes=int(c.size), batchable=False, trace=trace,
                     deadline=deadline,
@@ -430,7 +363,7 @@ class CompressionService:
         else:
             # single v2 stream, a CSZ2RAW1 passthrough container, or any
             # registered plugin's stream; the worker task sniffs the magic
-            master = self._submit(
+            master = self.router.submit(
                 "chunk.decompress", buf, priority=priority,
                 nbytes=int(buf.size), batchable=True, trace=trace,
                 deadline=deadline,
@@ -480,8 +413,7 @@ class CompressionService:
         self._closed = True
         if self.autoscaler is not None:
             self.autoscaler.stop()
-        if self.router is not None:
-            self.router.close()  # cancel retry timers, stop fallback tiers
+        self.router.close()  # cancel retry timers, stop the inline runner
         self.scheduler.shutdown(cancel_pending=cancel_pending)
         self.pool.shutdown(wait=not cancel_pending)
 

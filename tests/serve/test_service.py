@@ -1,6 +1,10 @@
 """CompressionService end to end: batching path, fan-out path, cache."""
 
+import glob
+import multiprocessing
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +12,9 @@ import pytest
 from repro.core import decompress as mono_decompress
 from repro.core.errors import InvalidInputError
 from repro.serve import CompressionService, ServiceConfig, compress_chunked, is_chunked
+from repro.serve.autoscale import AutoscaleConfig
+from repro.serve.resilience import BreakerConfig, RetryPolicy
+from repro.serve.shm import SEGMENT_PREFIX
 
 from tests.helpers import assert_error_bounded, value_range
 
@@ -115,12 +122,70 @@ class TestLifecycle:
                 raise RuntimeError("abort")
 
     def test_config_overrides(self):
-        svc = CompressionService(workers=1, backend="thread", warmup=False, batch_max=3)
+        svc = CompressionService(workers=1, backend="thread", warmup=False, chunk_bytes=3)
         try:
             assert svc.config.workers == 1
-            assert svc.config.batch_max == 3
+            assert svc.config.chunk_bytes == 3
         finally:
             svc.close()
+
+
+class TestComponentDefaults:
+    """What a default service hands its components.  Each value is the
+    component's own default, defined once, in the component."""
+
+    @pytest.mark.parametrize("backend, transport", [("thread", "pickle"), ("process", "shm")])
+    def test_default_service_builds(self, backend, transport):
+        with CompressionService(
+            workers=2, backend=backend, transport=transport, warmup=False
+        ) as svc:
+            sched = svc.scheduler
+            assert sched.max_pending == 256
+            assert sched.batch_max == 8
+            assert sched.batch_bytes == 1 << 20
+            assert sched.max_inflight == 2
+            assert svc.router.retry == RetryPolicy()
+            assert svc.router.breaker_config == BreakerConfig()
+            assert [t.name for t in svc.router.tiers] == ["pool", "inline"]
+            if transport == "shm":
+                arena = svc.pool.transport.arena
+                assert (arena.nslots, arena.slot_bytes) == (16, 8 << 20)
+            assert svc.autoscaler is None
+
+    def test_autoscaler_defaults(self):
+        with CompressionService(
+            workers=2, backend="thread", warmup=False, autoscale=True
+        ) as svc:
+            assert svc.autoscaler.cfg == AutoscaleConfig(max_workers=8)
+
+
+class TestRejectedSettingLeaksNothing:
+    """A setting that a component rejects raises before the pool starts,
+    so the failed constructor leaves no worker process, thread or shm
+    segment behind (the caller has no service to close)."""
+
+    @staticmethod
+    def _resources():
+        prefix = f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}-"
+        return (
+            set(multiprocessing.active_children()),
+            set(threading.enumerate()),
+            set(glob.glob(prefix + "*")),
+        )
+
+    @pytest.mark.parametrize("setting", [
+        {"cache_bytes": -1},
+        {"retry_max_attempts": 0},
+        {"autoscale": True, "autoscale_max_workers": -1},
+    ])
+    def test_constructor_error_leaks_nothing(self, setting):
+        before = self._resources()
+        with pytest.raises(ValueError):
+            CompressionService(
+                workers=2, backend="process", transport="shm", warmup=False, **setting
+            )
+        for now, then in zip(self._resources(), before):
+            assert not now - then
 
 
 class TestCodecSettingValidation:

@@ -103,6 +103,42 @@ class TestCodecValidation:
         assert snap["counters"]["service.bytes_in"] >= field.nbytes
 
 
+class TestFixedRateCodecTakesNoBound:
+    """A fixed-rate codec's ratio is set by ``rate``, not a bound: the
+    service rejects ``rel``/``abs`` as the plugin API does, and over HTTP
+    a compress needs no bound."""
+
+    FIXED = {"codec": "cuzfp", "codec_opts": (("rate", 16.0),)}
+
+    @pytest.mark.parametrize("bound", ["rel", "abs"])
+    def test_bound_is_rejected(self, field, bound):
+        with CompressionService(workers=1, **self.FIXED) as svc:
+            with pytest.raises(InvalidInputError, match=f"has no option '{bound}'"):
+                svc.compress(field, **{bound: 1e-3})
+            assert "service.requests" not in svc.stats_snapshot()["counters"]
+
+    def test_http_compress_without_a_bound(self, field):
+        headers = {"x-dtype": "float32", "x-shape": "60,100"}
+
+        async def go(svc):
+            async with _frontend(svc) as fe:
+                plain = await _request(
+                    fe.port, "POST", "/v1/compress", headers, field.tobytes()
+                )
+                bounded = await _request(
+                    fe.port, "POST", "/v1/compress?rel=1e-3", headers, field.tobytes()
+                )
+                return plain, bounded
+
+        with CompressionService(workers=1, **self.FIXED) as svc:
+            (status, _, payload), (bad_status, _, bad_payload) = asyncio.run(go(svc))
+        assert status == 200
+        assert payload == codecs.encode(field, "cuzfp", rate=16.0).tobytes()
+        assert bad_status == 400
+        err = json.loads(bad_payload)
+        assert err["error"] == "client" and "has no option 'rel'" in err["detail"]
+
+
 class TestCodecSettingsReachTheCodec:
     """Settings meant for one codec are neither dropped nor accepted by
     another: the default codec's settings ride ``codec_opts`` and the
