@@ -741,7 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sb.add_argument(
         "--transport", default="pickle", choices=["pickle", "shm"],
-        help="worker transport: pickled queues or zero-copy shared memory",
+        help="worker transport: pickled queues or zero-copy shared memory "
+        "(shm needs --backend process)",
     )
     sb.add_argument("--requests", type=int, default=8, help="total compress+decompress iterations")
     sb.add_argument("--clients", type=int, default=2, help="concurrent closed-loop clients")
@@ -769,8 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool backend (default process for real parallelism)",
     )
     sv.add_argument(
-        "--transport", default="shm", choices=["pickle", "shm"],
-        help="worker transport (default shm: zero-copy shared memory)",
+        "--transport", default=None, choices=["pickle", "shm"],
+        help="worker transport (default: shm, zero-copy shared memory, for "
+        "process workers; pickle for thread workers)",
     )
     sv.add_argument("--deadline-s", type=float, default=None,
                     help="default per-request budget (None = unbounded)")
@@ -890,7 +892,8 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--backend", choices=["thread", "process"], default="thread")
     cc.add_argument(
         "--transport", default="pickle", choices=["pickle", "shm"],
-        help="worker transport: pickled queues or zero-copy shared memory",
+        help="worker transport: pickled queues or zero-copy shared memory "
+        "(shm needs --backend process)",
     )
     cc.add_argument("--hang-rate", type=float, default=0.02)
     cc.add_argument("--crash-rate", type=float, default=0.05)
@@ -950,8 +953,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv``.  An unset ``--transport`` follows ``--backend`` (shm
+    for process workers, pickle for thread workers); shm between thread
+    workers is a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "transport"):
+        if args.transport is None:
+            args.transport = "shm" if args.backend == "process" else "pickle"
+        if args.transport == "shm" and args.backend == "thread":
+            parser.error(
+                f"{args.command}: --transport shm needs --backend process "
+                "(thread workers already share memory)"
+            )
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `repro datasets | head`

@@ -12,9 +12,7 @@ into three capabilities:
 * ``decompress(..., on_corruption="recover")`` / :func:`recover` --
   graceful degradation: intact block groups decode bit-identically to an
   uncorrupted decode, damaged groups are filled with a sentinel value, and
-  the report says exactly which element ranges are affected (the same
-  group granularity :mod:`repro.collective` uses for partial
-  retransmission).
+  the report says exactly which element ranges are affected.
 
 v1 streams carry no checksums; verifying them is a no-op that reports
 ``has_checksums=False``.

@@ -25,10 +25,10 @@ bytes so that bit-flips, truncation, and partial-transfer loss become
 ``group_crc`` covers group *g*'s offset bytes followed by its payload
 bytes; ``group_payload_len`` pins the group's payload extent so that a
 corrupted offset byte inside one group cannot shift the byte boundaries
-of any *other* group -- the property partial recovery and partial
-retransmission rely on.  Amortized over the default 4096-block group the
-section costs 12 bytes per >=4096 offset bytes (<0.3% of the offset
-section alone, far below 0.1% of a typical stream).
+of any *other* group -- the property partial recovery relies on.
+Amortized over the default 4096-block group the section costs 12 bytes
+per >=4096 offset bytes (<0.3% of the offset section alone, far below
+0.1% of a typical stream).
 """
 
 from __future__ import annotations
@@ -394,11 +394,6 @@ def split(buf) -> Tuple[StreamHeader, np.ndarray, np.ndarray]:
     return header, offsets, payload
 
 
-def offsets_start(header: StreamHeader, section: Optional[IntegritySection]) -> int:
-    """Byte offset where the offset section begins for this stream."""
-    return HEADER_SIZE + (section.size if section is not None else 0)
-
-
 # ---------------------------------------------------------------------------
 # Group-aligned chunk boundaries (for the chunked streaming engine)
 # ---------------------------------------------------------------------------
@@ -409,7 +404,7 @@ def offsets_start(header: StreamHeader, section: Optional[IntegritySection]) -> 
 # bytes never depend on its neighbours.  Aligning cuts further, to a whole
 # checksum *group* (block * group_blocks elements), keeps each sub-stream's
 # integrity section congruent with the groups the monolithic stream would
-# have had -- which is what lets chunk-level retransmission and recovery
+# have had -- which is what lets chunk-level verification and recovery
 # compose with the v2 machinery.
 
 def chunk_granule(block: int, group_blocks: int = DEFAULT_GROUP_BLOCKS) -> int:

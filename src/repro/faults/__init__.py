@@ -8,8 +8,8 @@ plus a self-check harness (:func:`repro.faults.check.run_faultcheck`,
 ``repro faultcheck`` in the CLI) asserting that every injected fault is
 either detected by the decoder or provably harmless.
 
-The same injectors drive the lossy-link model in
-:mod:`repro.collective` and the hypothesis fuzzing suite.
+The same injectors drive the corruption oracle of :mod:`repro.qa` and
+the hypothesis fuzzing suite.
 
 :mod:`repro.faults.chaos` extends the idea from bytes to *behavior*:
 seeded worker hangs, crashes, slow responses, corrupted results, and

@@ -324,8 +324,3 @@ def hybrid_decompression(art: Artifacts, device: DeviceSpec, family: str) -> Pip
     pipe.host_bytes = cal.HYBRID_HOST_FRACTION[family] * n * 0.7  # decode side
     pipe.host_fixed_s = cal.HYBRID_HOST_FIXED_S[family] * 0.5
     return pipe
-
-
-#: Map compressor family -> PROFILE multiplier for the Nsight-style view.
-def profile_multiplier(family: str) -> float:
-    return cal.PROFILE_DRAM_MULT[family]

@@ -116,7 +116,7 @@ def run_fuzz(cfg: FuzzConfig) -> FuzzReport:
             from ..serve.pool import WorkerPool
 
             shm_pool = WorkerPool(
-                nworkers=max(cfg.workers, 2), backend="thread",
+                nworkers=max(cfg.workers, 2), backend="process",
                 transport="shm", warmup=False,
                 shm_min_bytes=1,  # even tiny fuzz payloads ride descriptors
             )

@@ -27,7 +27,7 @@ The oracles mirror the shipped entry points:
     verify clean and round-trip bit-identically through the monolithic
     codec; batched ``rewrite_blocks`` == sequential ``rewrite_block``.
 ``serve_shm``
-    chunked requests routed through a worker pool on the zero-copy
+    chunked requests routed through process workers on the zero-copy
     shared-memory transport produce byte-identical chunk streams and
     containers vs the inline codec (descriptors never corrupt payloads).
 ``codecs``
@@ -70,7 +70,7 @@ class OracleContext:
     one-entry compression cache so the oracles of one case compress once."""
 
     pool: Optional[object] = None  # repro.serve.pool.WorkerPool
-    shm_pool: Optional[object] = None  # WorkerPool(transport="shm")
+    shm_pool: Optional[object] = None  # process WorkerPool(transport="shm")
     _key: Optional[Tuple] = field(default=None, repr=False)
     _stream: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -438,7 +438,7 @@ def oracle_store(case: FuzzCase, ctx: OracleContext) -> None:
 def oracle_serve_shm(case: FuzzCase, ctx: OracleContext) -> None:
     """The zero-copy shm transport against the inline codec.
 
-    Every chunk stream produced by a worker pool running on
+    Every chunk stream produced by process workers running on
     ``transport="shm"`` must be byte-identical to the serial in-process
     compression, the assembled ``CSZ2CHNK`` container must match too, and
     the pool-side decode must equal the monolithic decode -- descriptors,

@@ -19,9 +19,9 @@ the library codec into that pipeline component:
 * :mod:`~repro.serve.deadline` / :mod:`~repro.serve.resilience` --
   deadline propagation, retries with backoff, per-tier circuit breakers,
   and the graceful-degradation chain down to raw passthrough;
-* :mod:`~repro.serve.shm` -- zero-copy shared-memory transport: chunk
-  payloads live in refcounted arena slots, only descriptors cross the
-  pool boundary;
+* :mod:`~repro.serve.shm` -- zero-copy shared-memory transport for
+  process workers: chunk payloads live in refcounted arena slots, only
+  descriptors cross the process boundary;
 * :mod:`~repro.serve.autoscale` -- queue-depth-driven worker-pool
   autoscaler with hysteresis and cooldown;
 * :mod:`~repro.serve.http` -- stdlib-asyncio HTTP front end with

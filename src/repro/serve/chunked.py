@@ -22,11 +22,12 @@ properties follow:
 
 The chunk streams plus a manifest serialize into a ``CSZ2CHNK`` container
 (:meth:`ChunkedStream.to_bytes`) that round-trips through files and
-sockets; each chunk remains individually decodable (and individually
-retransmittable, see :func:`repro.collective.send_resilient_chunked`).
-:func:`resolve_options`, :func:`plan` and :func:`assemble` are shared
-with :class:`~repro.serve.service.CompressionService`, so a service
-request and :func:`compress_chunked` produce the same bytes.
+sockets; each chunk remains individually decodable and carries its own
+CRC32 in the manifest.  :func:`resolve_options`, :func:`plan`,
+:func:`assemble` and :func:`join` are shared with
+:class:`~repro.serve.service.CompressionService`, so a service request
+and :func:`compress_chunked` produce the same bytes, and a service decode
+and :func:`decompress_chunked` check a container the same way.
 """
 
 from __future__ import annotations
@@ -468,6 +469,22 @@ def assemble(data: np.ndarray, opts: Dict[str, Any], spans, axis: str, streams) 
     return ChunkedStream(manifest, streams)
 
 
+def join(manifest: ChunkManifest, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Reassemble decoded chunk ``parts`` into the field ``manifest``
+    describes.  A chunk that decoded to another dtype than the manifest
+    records is a :class:`StreamFormatError`."""
+    for i, part in enumerate(parts):
+        if part.dtype.name != manifest.dtype:
+            raise StreamFormatError(
+                f"chunk {i} decoded to {part.dtype}, manifest says {manifest.dtype}"
+            )
+    if manifest.axis == "flat":
+        out = np.concatenate([p.reshape(-1) for p in parts])
+    else:
+        out = np.concatenate(parts, axis=0)
+    return out.reshape(manifest.shape)
+
+
 def compress_chunked(
     data: np.ndarray,
     rel: Optional[float] = None,
@@ -510,17 +527,8 @@ def decompress_chunked(obj, pool=None) -> np.ndarray:
     the original field shape; chunks decode independently (optionally in
     parallel over ``pool``)."""
     chunked = obj if isinstance(obj, ChunkedStream) else ChunkedStream.from_bytes(obj)
-    m = chunked.manifest
     if pool is not None:
         parts = pool.map("chunk.decompress", chunked.chunks)
     else:
         parts = [decompress_chunk(c) for c in chunked.chunks]
-    if m.axis == "flat":
-        out = np.concatenate([p.reshape(-1) for p in parts])
-    else:
-        out = np.concatenate(parts, axis=0)
-    if out.dtype != np.dtype(m.dtype):  # pragma: no cover - defensive
-        raise StreamFormatError(
-            f"chunks decoded to {out.dtype}, manifest says {m.dtype}"
-        )
-    return out.reshape(m.shape)
+    return join(chunked.manifest, parts)

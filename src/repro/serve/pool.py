@@ -6,8 +6,8 @@ task pool.  Two interchangeable backends:
 
 * :class:`ThreadBackend` -- same-process workers.  The NumPy codec holds
   the GIL for most of its time, so threads give little speedup; they exist
-  for deterministic tests (shared memory, injectable failures) and for
-  I/O-bound task mixes.
+  for deterministic tests (injectable failures) and for I/O-bound task
+  mixes.
 * :class:`ProcessBackend` -- ``multiprocessing`` workers for real
   parallelism on multi-core hosts.
 
@@ -20,8 +20,9 @@ instead of an ``AttributeError`` from a missing function.  The registry
 is explicit -- :func:`registered_tasks` lists it, :func:`unregister_task`
 removes entries (tests use this to exercise the unknown-task path).
 
-The *argument payload* crosses the pool boundary through one of two
-transports:
+A thread worker receives the caller's payload by reference.  A process
+worker's *argument payload* crosses the process boundary through one of
+two transports:
 
 * ``"pickle"`` (default) -- payloads ride the ``multiprocessing`` queue
   verbatim, pickled on the way in and out;
@@ -30,6 +31,9 @@ transports:
   read zero-copy views and ship results back the same way.  Slots are
   refcounted with generation guards, crash recovery reclaims whatever a
   dead worker held, and oversized payloads fall back to pickling.
+
+A thread pool refuses ``"shm"``: copying an array into a segment and out
+again between threads that already share memory only adds two copies.
 
 Each worker runs a warmup task before accepting work (priming NumPy and
 the codec so the first real request does not pay first-touch costs),
@@ -332,24 +336,11 @@ def _run_traced(name: str, arg: Any, wid: int, backend: str, spans_out: list):
         spans_out.extend(s.to_dict() for s in tracer.roots())
 
 
-def _resolve_transport(transport):
-    """Materialize the worker-side transport: ``None`` (pickled path), a
-    live :class:`~repro.serve.shm.ShmTransport` (thread workers share the
-    parent's), or an attach spec tuple (process workers map the segment
-    themselves)."""
-    if transport is None or not isinstance(transport, tuple):
-        return transport
-    from .shm import ShmTransport
-
-    return ShmTransport.attach(transport)
-
-
 def _worker_loop(wid: int, inq, outq, warmup: bool, process: bool,
                  transport=None) -> None:
     # Suppress ambient tracing in this thread: worker spans are only
     # collected through the explicit per-task ship-back protocol.
     obs_trace.set_thread_tracer(obs_trace.DISABLED)
-    transport = _resolve_transport(transport)
     if warmup:
         try:
             _warmup_codec()
@@ -398,7 +389,12 @@ def _worker_loop(wid: int, inq, outq, warmup: bool, process: bool,
             outq.put(("done", wid, task_id, (True, value), dur, spans))
 
 
-def _process_worker_main(wid: int, inq, outq, warmup: bool, transport=None) -> None:
+def _process_worker_main(wid: int, inq, outq, warmup: bool, spec=None) -> None:
+    transport = None
+    if spec is not None:
+        from .shm import ShmTransport
+
+        transport = ShmTransport.attach(spec)
     _worker_loop(wid, inq, outq, warmup, process=True, transport=transport)
 
 
@@ -421,17 +417,17 @@ class _ThreadHandle:
 
 
 class ThreadBackend:
-    """Same-process workers: deterministic, shared-memory, test-friendly."""
+    """Same-process workers: deterministic and test-friendly."""
 
     name = "thread"
 
     def make_queue(self):
         return queue.Queue()
 
-    def spawn(self, wid: int, inq, outq, warmup: bool, transport=None):
+    def spawn(self, wid: int, inq, outq, warmup: bool):
         t = threading.Thread(
             target=_worker_loop,
-            args=(wid, inq, outq, warmup, False, transport),
+            args=(wid, inq, outq, warmup, False),
             name=f"serve-worker-{wid}",
             daemon=True,
         )
@@ -542,8 +538,9 @@ class WorkerPool:
     transport:
         ``"pickle"`` (default) ships payloads through the worker queues;
         ``"shm"`` moves ndarrays through a shared-memory arena and ships
-        only descriptors (see :mod:`repro.serve.shm`).  An existing
-        :class:`~repro.serve.shm.ShmTransport` instance is accepted too.
+        only descriptors (see :mod:`repro.serve.shm`).  ``"shm"`` needs
+        process workers: a thread pool raises :class:`ValueError` before
+        it starts a worker, a thread or a segment.
     shm_min_bytes:
         With ``transport="shm"``, the ndarray size below which pickling
         is used anyway.  The arena has ``4 * nworkers + 8`` slots of
@@ -565,6 +562,13 @@ class WorkerPool:
         if nworkers < 1:
             raise ValueError(f"nworkers must be >= 1, got {nworkers}")
         self.backend = make_backend(backend)
+        #: only process workers pickle what crosses their queues
+        self._pickles = self.backend.name == "process"
+        if transport == "shm" and not self._pickles:
+            raise ValueError(
+                "transport='shm' needs backend='process': thread workers "
+                "already share the caller's memory"
+            )
         self.nworkers = nworkers
         self.stats = stats if stats is not None else MetricsRegistry()
         self._warmup = warmup
@@ -752,9 +756,12 @@ class WorkerPool:
     def _spawn_worker(self) -> None:
         wid = next(self._wids)
         inq = self.backend.make_queue()
-        handle = self.backend.spawn(
-            wid, inq, self._outq, self._warmup, self._transport
-        )
+        if self._transport is None:
+            handle = self.backend.spawn(wid, inq, self._outq, self._warmup)
+        else:  # shm implies process workers
+            handle = self.backend.spawn(
+                wid, inq, self._outq, self._warmup, self._transport
+            )
         with self._lock:
             self._workers[wid] = _WorkerState(wid, handle, inq)
 
@@ -863,6 +870,12 @@ class WorkerPool:
                         self.stats.counter("pool.task_errors").inc()
                         task.future.set_exception(exc)
                         return
+                elif self._pickles:
+                    from .shm import payload_nbytes
+
+                    self.stats.counter("pool.transport.result_pickled_bytes").inc(
+                        payload_nbytes(value)
+                    )
                 task.future.set_result(value)
             else:
                 self.stats.counter("pool.task_errors").inc()
@@ -895,14 +908,10 @@ class WorkerPool:
         return value, exc
 
     def _reclaim_worker_slots(self, w: "_WorkerState") -> None:
-        """Free arena slots a dead *process* worker still owned (results
-        it encoded, or a slot it died mid-write in).  Thread workers share
-        the parent pid and must not trigger a blanket reclaim."""
-        if self._transport is None:
-            return
-        pid = getattr(w.handle, "pid", None)
-        if pid and pid != os.getpid():
-            self._transport.reclaim_owner(pid)
+        """Free arena slots a dead process worker still owned (results it
+        encoded, or a slot it died mid-write in)."""
+        if self._transport is not None:
+            self._transport.reclaim_owner(w.handle.pid)
 
     def _check_workers(self) -> None:
         """Liveness polling and both watchdogs, in one pass over the table.
@@ -1088,26 +1097,25 @@ class WorkerPool:
     def _encode_arg(self, task: _Task):
         """Encode the dispatch payload through the transport (request
         slots stay claimed by the parent until the outcome lands) and
-        account per-stage transport bytes."""
+        account per-stage transport bytes; a thread worker's argument
+        crosses no process boundary and counts nothing."""
+        if not self._pickles:
+            return task.arg
         from .shm import payload_nbytes
 
-        if self._transport is None:
-            self.stats.counter("pool.transport.dispatch_pickled_bytes").inc(
-                payload_nbytes(task.arg)
+        arg, shm_bytes = task.arg, 0
+        if self._transport is not None:
+            arg, task.shm_refs = self._transport.encode(task.arg)
+            shm_bytes = sum(d.nbytes for d in task.shm_refs)
+            self.stats.counter("pool.transport.dispatch_shm_bytes").inc(shm_bytes)
+            # parent-side fallbacks only; worker-side ones stay in the worker
+            self.stats.gauge("pool.transport.fallbacks").set(
+                self._transport.fallbacks
             )
-            return task.arg
-        arg_enc, refs = self._transport.encode(task.arg)
-        task.shm_refs = refs
-        shm_bytes = sum(d.nbytes for d in refs)
-        self.stats.counter("pool.transport.dispatch_shm_bytes").inc(shm_bytes)
         self.stats.counter("pool.transport.dispatch_pickled_bytes").inc(
             payload_nbytes(task.arg) - shm_bytes
         )
-        # parent-side fallbacks only; worker-side ones stay in the worker
-        self.stats.gauge("pool.transport.fallbacks").set(
-            self._transport.fallbacks
-        )
-        return arg_enc
+        return arg
 
     def _maybe_finish(self) -> bool:
         with self._lock:

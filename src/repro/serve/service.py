@@ -44,7 +44,7 @@ class ServiceConfig:
 
     workers: int = 2
     backend: str = "thread"  # "thread" (tests / I/O mixes) | "process" (CPU)
-    transport: str = "pickle"  # "pickle" | "shm" (zero-copy, serve/shm.py)
+    transport: str = "pickle"  # "pickle" | "shm" (process workers only, serve/shm.py)
     shm_min_bytes: Optional[int] = None  # below this, pickle anyway
     #: Compressor plugin (repro.codecs registry name).  Every codec runs
     #: through the same tasks, resilience chain and transport; fan-out
@@ -350,16 +350,8 @@ class CompressionService:
                 )
                 for c in chunks.chunks
             ]
-            m = chunks.manifest
-
-            def assemble(parts):
-                if m.axis == "flat":
-                    out = np.concatenate([p.reshape(-1) for p in parts])
-                else:
-                    out = np.concatenate(parts, axis=0)
-                return out.reshape(m.shape)
-
-            master = _gather(futures, assemble)
+            manifest = chunks.manifest
+            master = _gather(futures, lambda parts: _chunked.join(manifest, parts))
         else:
             # single v2 stream, a CSZ2RAW1 passthrough container, or any
             # registered plugin's stream; the worker task sniffs the magic

@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory transport for the worker pool.
+"""Zero-copy shared-memory transport for process workers.
 
 The pickled transport serializes every chunk payload (and every result)
 through a ``multiprocessing`` queue: two full copies plus pickle framing
@@ -8,7 +8,9 @@ scaling.  This module replaces the *payload bytes* with named
 into a slot of a shared arena and only a tiny :class:`ShmDescriptor`
 (segment, slot, offset, length, dtype, shape, generation) crosses the
 queue.  The worker maps the same segment and reads the payload as a
-zero-copy NumPy view; results travel back the same way.
+zero-copy NumPy view; results travel back the same way.  Thread workers
+already share the caller's memory, so a thread pool refuses this
+transport.
 
 Safety model (the part chaos must not break):
 
@@ -497,19 +499,12 @@ class ShmTransport:
 
 def make_transport(transport, nslots: int = 16, slot_bytes: int = 8 << 20,
                    min_bytes: int = DEFAULT_MIN_BYTES):
-    """``None`` for the pickled path, a :class:`ShmTransport` for shm.
-
-    Accepts the string names in :data:`TRANSPORTS`, an existing
-    transport instance, or ``None``/"pickle"."""
+    """``None`` for the pickled path (``"pickle"`` or ``None``), a new
+    :class:`ShmTransport` for ``"shm"``."""
     if transport is None or transport == "pickle":
         return None
-    if isinstance(transport, ShmTransport):
-        return transport
     if transport == "shm":
         return ShmTransport.create(
             nslots=nslots, slot_bytes=slot_bytes, min_bytes=min_bytes
         )
-    raise ValueError(
-        f"transport must be one of {TRANSPORTS} (or a transport instance), "
-        f"got {transport!r}"
-    )
+    raise ValueError(f"transport must be one of {TRANSPORTS}, got {transport!r}")

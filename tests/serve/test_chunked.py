@@ -209,6 +209,27 @@ class TestContainer:
         with pytest.raises(IntegrityError):
             decompress_chunked(ChunkedStream.from_bytes(bad))
 
+    def test_manifest_dtype_is_checked_by_every_decoder(self, rng):
+        # decompress_chunked and the service reassemble through one
+        # function, which checks every decoded chunk against the manifest
+        from dataclasses import replace
+
+        from repro.serve import CompressionService
+
+        chunked = compress_chunked(
+            _walk(rng, 2048, np.float32), rel=1e-3, block=64, group_blocks=4,
+            chunk_elems=1024,
+        )
+        assert chunked.nchunks == 2
+        buf = ChunkedStream(
+            replace(chunked.manifest, dtype="float64"), chunked.chunks
+        ).to_bytes()
+        with pytest.raises(StreamFormatError, match="manifest says float64"):
+            decompress_chunked(buf)
+        with CompressionService(workers=1, warmup=False) as svc:
+            with pytest.raises(StreamFormatError, match="manifest says float64"):
+                svc.decompress(buf).result(30)
+
     def test_requires_one_bound(self, rng):
         data = _walk(rng, 1000, np.float32)
         with pytest.raises(InvalidInputError):

@@ -262,6 +262,22 @@ class TestEventDrivenDispatch:
             sys.setswitchinterval(prev)
 
 
+class TestTransportBytes:
+    """The transport byte counters count what crosses a process boundary:
+    nothing for thread workers, which get the caller's array by
+    reference; every argument and result for process workers."""
+
+    @pytest.mark.parametrize("backend,crossed", [("thread", 0), ("process", 16384)])
+    def test_pickled_bytes_count_process_crossings_only(self, backend, crossed):
+        with WorkerPool(nworkers=1, backend=backend, warmup=False) as pool:
+            assert pool.wait_ready(60.0)
+            payload = np.arange(4096, dtype=np.float32)
+            assert np.array_equal(pool.submit("pool.echo", payload).result(10), payload)
+            counter = pool.stats.counter
+            assert counter("pool.transport.dispatch_pickled_bytes").value == crossed
+            assert counter("pool.transport.result_pickled_bytes").value == crossed
+
+
 class TestDirectHandOff:
     """The submitting thread hands a task to an idle worker itself: no
     message reaches the manager, and a task that must not run is stopped

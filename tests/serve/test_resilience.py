@@ -263,11 +263,11 @@ class _WedgingBackend:
     def make_queue(self):
         return self._real.make_queue()
 
-    def spawn(self, wid, inq, outq, warmup, transport=None):
+    def spawn(self, wid, inq, outq, warmup):
         if self._wedge_next:
             self._wedge_next = False
             return _WedgedHandle()
-        return self._real.spawn(wid, inq, outq, warmup, transport)
+        return self._real.spawn(wid, inq, outq, warmup)
 
 
 class TestSpawnWatchdog:

@@ -1,7 +1,10 @@
 """Zero-copy shared-memory transport: arena lifecycle, descriptor
-safety, crash reclamation, and bit-identity vs the pickled path."""
+safety, crash reclamation, bit-identity vs the pickled path, and the
+refusal of shm between thread workers."""
 
+import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -228,7 +231,6 @@ class TestTransport:
         tr = make_transport("shm", nslots=2, slot_bytes=1 << 12)
         try:
             assert isinstance(tr, ShmTransport)
-            assert make_transport(tr) is tr
         finally:
             tr.destroy()
         with pytest.raises(ValueError):
@@ -259,7 +261,9 @@ class TestTaxonomy:
 # Pool integration: bit-identity and crash safety
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+# shm crosses a process boundary only: a thread pool refuses it
+# (TestThreadPoolRefusesShm)
+@pytest.mark.parametrize("backend", ["process"])
 class TestPoolShm:
     def test_roundtrip_and_counters(self, backend):
         with WorkerPool(
@@ -329,6 +333,31 @@ class TestPoolShm:
             assert pool.transport.arena.slots_in_use() == 0
 
 
+class TestThreadPoolRefusesShm:
+    """Thread workers already share the caller's memory, so shm would
+    only add a copy in and a copy out.  A thread pool refuses it before
+    it starts a worker, a thread or a segment."""
+
+    @staticmethod
+    def _resources():
+        return (
+            set(multiprocessing.active_children()),
+            set(threading.enumerate()),
+            set(active_segments()),
+        )
+
+    @pytest.mark.parametrize("build", [
+        lambda: WorkerPool(nworkers=2, backend="thread", transport="shm"),
+        lambda: CompressionService(backend="thread", transport="shm", warmup=False),
+    ], ids=["pool", "service"])
+    def test_refused_and_leaks_nothing(self, build):
+        before = self._resources()
+        with pytest.raises(ValueError, match="needs backend='process'"):
+            build()
+        for now, then in zip(self._resources(), before):
+            assert not now - then
+
+
 class TestProcessKillMidTask:
     def test_sigkill_mid_write_recovers_and_reclaims(self):
         """SIGKILL a process worker while its task (and its shm request
@@ -371,7 +400,7 @@ class TestServiceBitIdentity:
         for transport in ("pickle", "shm"):
             with CompressionService(
                 ServiceConfig(
-                    workers=2, backend="thread", warmup=False,
+                    workers=2, backend="process", warmup=False,
                     transport=transport, chunk_bytes=256 << 10,
                     shm_min_bytes=1,
                 )

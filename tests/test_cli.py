@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import main, parse_args
 from repro.datasets import read_field, write_field
 
 
@@ -170,6 +170,33 @@ class TestServeBench:
         assert "serve-bench:" in text
         assert "throughput" in text
         assert report_path.exists()
+
+
+class TestTransportFlag:
+    """``--transport shm`` needs process workers; ``repro serve``'s
+    default follows ``--backend``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--backend", "thread", "--transport", "shm"],
+        ["serve-bench", "--transport", "shm"],  # thread is the default
+        ["chaoscheck", "--transport", "shm"],
+    ], ids=lambda argv: argv[0])
+    def test_shm_on_thread_workers_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"{argv[0]}: --transport shm needs --backend process" in err
+
+    @pytest.mark.parametrize("argv, backend, transport", [
+        (["serve"], "process", "shm"),
+        (["serve", "--backend", "thread"], "thread", "pickle"),
+        (["serve", "--transport", "pickle"], "process", "pickle"),
+    ])
+    def test_serve_transport_follows_backend(self, argv, backend, transport):
+        args = parse_args(argv)
+        assert (args.backend, args.transport) == (backend, transport)
 
 
 class TestTrace:
